@@ -1,9 +1,9 @@
 """Command-line interface: reproducible experiments with JSON/CSV reports.
 
 Exit statuses: 0 success, 1 usage error, 2 numerical failure (rank
-deficiency or non-convergence).  Reports embed the fully resolved
-configuration and a schema version; identical flags and seed produce
-byte-identical JSON.
+deficiency, non-convergence, or an enumeration over its cap).  Reports embed
+the fully resolved configuration and a schema version; identical flags and
+seed produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .framelab import (
     guard_band,
 )
 from .goldenring import ALPHA_FLOAT
-from .lattice import LatticeSpec, Rect, audit_max_count, audit_min_count, enumerate_in_rect
+from .lattice import EnumerationCapError, LatticeSpec, Rect, enumerate_in_rect
+from .lattice import audit_max_count, audit_min_count
 from .wavelet import (
     SignalModel,
     admissibility_constant,
@@ -174,8 +175,23 @@ def build_parser() -> _Parser:
     return p
 
 
-def _load_config(path: str, args: argparse.Namespace, argv: list[str]) -> None:
-    """Apply key = value pairs from a file; explicit flags keep priority."""
+def _options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """dest -> argparse action of every option of the parsed command (the
+    top-level one where a global flag is repeated after the subcommand)."""
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for dest, sub in _options(action.choices[getattr(args, action.dest)], args).items():
+                options.setdefault(dest, sub)
+        elif hasattr(args, action.dest):
+            options[action.dest] = action
+    return options
+
+
+def _load_config(path: str, args: argparse.Namespace, argv: list[str], parser) -> None:
+    """Apply key = value pairs from a file, converted and checked as the
+    matching flag's value would be; explicit flags keep priority."""
+    options = _options(parser, args)
     explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     try:
         with open(path) as fh:
@@ -189,19 +205,20 @@ def _load_config(path: str, args: argparse.Namespace, argv: list[str]) -> None:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if "--" + key.replace("_", "-") in explicit:
             continue
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            value = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(args, attr, value)
+        default_type = type(action.default)
+        convert = action.type or (default_type if default_type in (int, float) else str)
+        try:
+            value = convert(value)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: {key}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{path}:{lineno}: {key} must be one of {list(action.choices)}")
+        setattr(args, action.dest, value)
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -399,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _load_config(args.config, args, argv)
+            _load_config(args.config, args, argv, parser)
         if args.threads is not None:
             if args.threads < 1:
                 raise UsageError(f"--threads must be >= 1, got {args.threads}")
@@ -420,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except EnumerationCapError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": f"{args.command} {args.subcommand}",

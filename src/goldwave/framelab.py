@@ -20,7 +20,7 @@ import numpy as np
 
 from .covering import beta_for_delta
 from .lattice import LatticeSpec, Rect, enumerate_in_rect, lattice_coords
-from .wavelet import MotherWavelet, SignalModel, _atom_matrix, cwt
+from .wavelet import MotherWavelet, SignalModel, _atom_matrix, _row_blocks, cwt
 
 __all__ = [
     "SampleSet",
@@ -134,15 +134,14 @@ def analysis(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> np.ndarray:
     return cwt(f, w, sset.points)
 
 
-def frame_operator_apply(
-    f: SignalModel, sset: SampleSet, w: MotherWavelet, chunk: int = 2048
-) -> SignalModel:
+def frame_operator_apply(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> SignalModel:
     """S f = sum over sample points of <f, atom> * atom, in the model."""
     out = np.zeros(f.coeffs.shape, dtype=complex)
     pts = sset.points
-    for lo in range(0, pts.shape[0], chunk):
-        atoms = _atom_matrix(w, pts[lo : lo + chunk], f)
-        out += atoms.T @ (atoms.conj() @ f.coeffs)
+    fc = f.coeffs.conj()
+    for rows in _row_blocks(pts.shape[0], fc.size):
+        atoms = _atom_matrix(w, pts[rows], f)
+        out += (atoms @ fc).conj() @ atoms
     return SignalModel(f.length, f.duration, out)
 
 
@@ -179,8 +178,7 @@ def _band_matrix(
     j_lo, j_hi = band
     if not (1 <= j_lo <= j_hi <= model.length // 2 - 2):
         raise ValueError(f"band {band} not strictly inside the model bins")
-    atoms = _atom_matrix(w, sset.points, model)
-    return atoms[:, j_lo - 1 : j_hi]
+    return _atom_matrix(w, sset.points, model, band)
 
 
 def _power_iteration(matvec, dim, iters, tol, rng):

@@ -141,6 +141,37 @@ def test_config_file_with_flag_override(tmp_path):
     assert "unknown config key" in err
 
 
+def test_config_none_default_keys_take_the_flag_type(tmp_path):
+    cfg = tmp_path / "cover.cfg"
+    cfg.write_text("beta = 0.3\nk = -3:3\nl = -1:1\nthreads = 1\n")
+    rc, rep, _ = run_json(["--config", str(cfg), "cover", "audit", "--delta", "0.5"])
+    assert rc == 0
+    assert rep["config"]["beta"] == 0.3  # float flag, default None
+    assert rep["config"]["threads"] == 1  # int flag, default None
+    assert rep["result"]["beta"] == 0.3
+    cfg = tmp_path / "frame.cfg"
+    cfg.write_text("duration = 128\nn = 128\nsmax = 0.5\n")
+    rc, rep, _ = run_json(["--config", str(cfg), "frame", "estimate", "--scheme", "golden",
+                           "--delta", "1.0", "--iters", "50"])
+    assert rc in (0, 2)
+    assert rep["config"]["duration"] == 128.0
+    assert rep["config"]["n"] == 128
+    for text in ("threads = many\n", "format = xml\n", "command = frame\n"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        rc, _, err = run(["--config", str(bad), "cover", "audit", "--delta", "0.5"])
+        assert rc == 1, text
+        assert err.count("\n") == 1 and text.split()[0] in err
+
+
+def test_enumeration_cap_exits_2_with_one_line():
+    rc, out, err = run(["lattice", "count", "--rect", "0,1e9,0,1e9", "--beta", "1"])
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "cap" in err
+    assert "Traceback" not in err
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "rep.json"
     rc, stdout, _ = run(["lattice", "count", "--rect", "0,1,0,1", "--beta", "1",

@@ -6,6 +6,7 @@ import pytest
 from goldwave.covering import beta_for_delta
 from goldwave.framelab import (
     RankDeficiencyError,
+    _band_matrix,
     SampleSet,
     analysis,
     compare_schemes,
@@ -18,7 +19,7 @@ from goldwave.framelab import (
 )
 from goldwave.goldenring import ALPHA_FLOAT
 from goldwave.lattice import LatticeSpec, Rect, count_in_rect
-from goldwave.wavelet import SignalModel, cauchy_wavelet, cwt
+from goldwave.wavelet import _BLOCK_COEFFS, SignalModel, _atom_matrix, cauchy_wavelet, cwt
 
 
 W = cauchy_wavelet(6.0)
@@ -131,6 +132,28 @@ def test_frame_operator_self_adjoint_positive():
         asym = abs(sf.inner(g) - f.inner(sg))
         assert asym <= 1e-10 * f.norm() * g.norm()
         assert sf.inner(f).real >= -1e-12
+
+
+def test_frame_operator_blocks_match_one_product():
+    rng = np.random.default_rng(12)
+    model, region, _ = small_setup()
+    sset = golden_sample_set(0.7, region)
+    assert len(sset) % (_BLOCK_COEFFS // (model.length // 2 - 1)) != 0  # a partial last block
+    atoms = _atom_matrix(W, sset.points, model)
+    f = random_signal(rng, model)
+    ref = atoms.T @ (atoms.conj() @ f.coeffs)
+    sf = frame_operator_apply(f, sset, W).coeffs
+    assert np.max(np.abs(sf - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_band_matrix_is_the_band_of_the_full_matrix():
+    model, region, band = small_setup()
+    sset = golden_sample_set(0.7, region)
+    full = _atom_matrix(W, sset.points, model)[:, band[0] - 1 : band[1]]
+    m = _band_matrix(sset, W, model, band)
+    assert m.shape == full.shape
+    scale = np.abs(full).max(axis=1, keepdims=True)
+    assert np.all(np.abs(m - full) <= 1e-12 * scale)
 
 
 def test_frame_operator_empty_set_is_zero():

@@ -21,6 +21,8 @@ from goldwave.wavelet import (
     save_signal,
     wavelet_from_spec,
     wavelet_spec,
+    _BLOCK_COEFFS,
+    _atom_matrix,
 )
 
 
@@ -176,6 +178,50 @@ def test_disjoint_frequency_supports_give_zero():
     f = SignalModel(1024, 128.0, coeffs)
     # at s = 1 the atom occupies [0.6, 1.4]: disjoint from the signal
     assert abs(cwt(f, w, [(3.0, 1.0)])[0]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize(
+    "w, xi_peak", [(cauchy_wavelet(6.0), 6.0), (gaussian_bump_wavelet(1.0, 0.1), 1.0)]
+)
+def test_atom_matrix_rows_match_atom_spectrum(n, w, xi_peak):
+    rng = np.random.default_rng(n)
+    t = n / 8.0
+    model = SignalModel.zeros(n, t)
+    x = np.concatenate([rng.uniform(0.0, t, 40), t - np.array([t / n, 1e-6, 1e-12])])
+    # scales putting the profile's peak anywhere from the first to the last bin
+    s = np.exp(rng.uniform(0.0, math.log(n / 2), x.size)) / (t * xi_peak)
+    pts = np.column_stack([x, s])
+    for band in (None, (n // 8, 3 * n // 8)):
+        j_lo, j_hi = band or (1, n // 2 - 1)
+        j = np.arange(j_lo, j_hi + 1)
+        atoms = _atom_matrix(w, pts, model, band)
+        assert atoms.shape == (x.size, j.size)
+        for row, (xk, sk) in zip(atoms, pts):
+            ref = atom_spectrum(w, xk, sk, model)[j_lo - 1 : j_hi]
+            # 1e-12 of the row's max, plus the direct formula's own rounding
+            # of its phase 2*pi*x*j/T: four roundings of 2**-53 each
+            phase = 2 * np.pi * xk * j / t
+            tol = 1e-12 * np.abs(ref).max() + 4 * 2.0**-53 * phase * np.abs(ref)
+            assert np.all(np.abs(row - ref) <= tol)
+
+
+def test_atom_matrix_empty_points():
+    w = cauchy_wavelet(6.0)
+    model = SignalModel.zeros(64, 8.0)
+    assert _atom_matrix(w, np.zeros((0, 2)), model).shape == (0, 31)
+    assert _atom_matrix(w, np.zeros((0, 2)), model, (3, 9)).shape == (0, 7)
+
+
+def test_cwt_blocks_match_one_product():
+    rng = np.random.default_rng(11)
+    w = cauchy_wavelet(6.0)
+    f = random_signal(rng)
+    npts = 300
+    assert npts % (_BLOCK_COEFFS // f.coeffs.size) != 0  # a partial last block
+    pts = np.column_stack([rng.uniform(0, 64, npts), np.exp(rng.uniform(-3, 0, npts))])
+    ref = _atom_matrix(w, pts, f).conj() @ f.coeffs
+    assert np.max(np.abs(cwt(f, w, pts) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_cwt_linearity():
