@@ -34,19 +34,19 @@ print("\nGolden sets at three densities (delta is the covering parameter;")
 print("smaller delta means a denser set):")
 for delta in (1.0, 0.5, 0.25):
     sset = golden_sample_set(delta, region)
-    est = estimate_bounds(sset, w, model, band, seed=0)
+    est = estimate_bounds(sset, w, model, band)
     print(f"  delta = {delta:4.2f}: {len(sset):5d} points, "
           f"A = {est.lower:8.3f}, B = {est.upper:8.3f}, B/A = {est.ratio:8.3f}")
 
 print("\nA dyadic grid with a comparable point budget:")
 dy = dyadic_sample_set(2.0**0.25, 2.0, region)
-est = estimate_bounds(dy, w, model, band, seed=0)
+est = estimate_bounds(dy, w, model, band)
 print(f"  a = 2^(1/4), b = 2: {len(dy):5d} points, "
       f"A = {est.lower:8.3f}, B = {est.upper:8.3f}, B/A = {est.ratio:8.3f}")
 
 print("\nHead-to-head at matched density (dyadic time step tuned so the")
 print("point counts agree within 2%):")
-rows = compare_schemes([0.5, 0.35], w, model, region, band, iters=4000)
+rows = compare_schemes([0.5, 0.35], w, model, region, band)
 hdr = f"{'delta':>6} {'scheme':>8} {'points':>7} {'A':>9} {'B':>9} {'B/A':>9}"
 print("  " + hdr)
 for r in rows:

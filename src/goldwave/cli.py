@@ -1,9 +1,9 @@
 """Command-line interface: reproducible experiments with JSON/CSV reports.
 
 Exit statuses: 0 success, 1 usage error, 2 numerical failure (rank
-deficiency, non-convergence, or an enumeration over its cap).  Reports embed
-the fully resolved configuration and a schema version; identical flags and
-seed produce byte-identical JSON.
+deficiency, a failed residual or resolution check, or an enumeration over
+its cap).  Reports embed the fully resolved configuration and a schema
+version; identical flags and seed produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .wavelet import (
     normalize_tight,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # symbolic area aliases, evaluated in double precision from the exact forms
 _AREA_ALIASES = {
@@ -107,7 +106,6 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--format", choices=["json", "csv"], default=default("json"),
                    help="csv is available for tabular reports only")
     p.add_argument("--config", default=d, help="key = value file; flags override")
-    p.add_argument("--threads", type=int, default=d, help="cap BLAS worker threads")
     p.add_argument("-v", "--verbose", action="count", default=default(0))
 
 
@@ -160,7 +158,6 @@ def build_parser() -> _Parser:
         q.add_argument("--smax", type=float, default=0.06, help="top of the scale band")
         q.add_argument("--octaves", type=float, default=6.0, help="scale band depth")
         q.add_argument("--guard", type=float, default=2.0, help="guard margin in octaves")
-        q.add_argument("--iters", type=int, default=5000)
 
     fe = frsub.add_parser("estimate", parents=[shared], help="frame bounds for one sample set")
     fe.add_argument("--scheme", choices=["golden", "dyadic"], required=True)
@@ -381,7 +378,7 @@ def _cmd_frame_estimate(args) -> tuple[dict, int]:
         "band_dim": band[1] - band[0] + 1,
     }
     try:
-        est = estimate_bounds(sset, w, model, band, iters=args.iters, seed=args.seed)
+        est = estimate_bounds(sset, w, model, band)
     except RankDeficiencyError as exc:
         base.update({"error": "rank-deficient", "detail": str(exc), "A": 0.0})
         return base, 2
@@ -389,7 +386,6 @@ def _cmd_frame_estimate(args) -> tuple[dict, int]:
         "A": est.lower,
         "B": est.upper,
         "ratio": est.ratio,
-        "iterations": est.iterations,
         "converged": est.converged,
         "diagnostics": est.residuals,
     })
@@ -404,9 +400,7 @@ def _cmd_frame_compare(args) -> tuple[dict, int]:
     if not deltas or any(d <= 0 for d in deltas):
         raise UsageError(f"--deltas must be positive, got {args.deltas!r}")
     w, model, region, band = _frame_setup(args)
-    rows = compare_schemes(
-        deltas, w, model, region, band, iters=args.iters, seed=args.seed
-    )
+    rows = compare_schemes(deltas, w, model, region, band)
     return {"band": list(band), "rows": rows}, 0
 
 
@@ -417,11 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             _load_config(args.config, args, argv, parser)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise UsageError(f"--threads must be >= 1, got {args.threads}")
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(args.threads)
         handlers = {
             ("lattice", "count"): _cmd_lattice_count,
             ("lattice", "audit"): _cmd_lattice_audit,

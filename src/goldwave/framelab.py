@@ -5,8 +5,8 @@ a rectangular region.  Two constructions are provided: the scaled golden
 lattice beta * Gamma intersected with the region, and the classical dyadic
 scheme {(a**-j * l * b, a**j)}.  The frame operator of the induced wavelet
 family is applied in the frequency domain, and its spectral extremes on a
-band-restricted subspace (the empirical frame bounds) are estimated by
-power iteration.
+band-restricted subspace (the empirical frame bounds) come from one dense
+Hermitian eigensolve.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .covering import beta_for_delta
 from .lattice import LatticeSpec, Rect, enumerate_in_rect, lattice_coords
@@ -67,7 +68,8 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class FrameEstimate:
-    """Empirical frame bounds on a band-restricted subspace."""
+    """Empirical frame bounds on a band-restricted subspace.  ``iterations``
+    is always 0: the solve is direct."""
 
     lower: float
     upper: float
@@ -103,28 +105,34 @@ def golden_sample_set(
     return SampleSet(coords, {"scheme": "golden", "delta": delta, "beta": beta}, region)
 
 
-def dyadic_sample_set(a: float, b: float, region: Rect) -> SampleSet:
-    """The classical scheme {(a**-j * l * b, a**j) : j, l integers} in the
-    region: geometric scales, arithmetic translations refined with scale."""
+def _dyadic_rows(a: float, b: float, region: Rect):
+    """(scale, step, l_lo, l_hi) of each row of the dyadic scheme in the
+    region, by the half-open rule with no slack: scales c <= a**j < d, tested
+    on a candidate j range padded by one, and translations l * step for the
+    integers l_lo <= l < l_hi, that is l in [a / step, b / step)."""
     if not a > 1:
         raise ValueError(f"base a must exceed 1, got {a}")
     if not b > 0:
         raise ValueError(f"translation step b must be positive, got {b}")
     if not region.c > 0:
         raise ValueError("region must lie in the upper half-plane")
-    j_lo = math.ceil(math.log(region.c) / math.log(a) - 1e-12)
-    j_hi = math.ceil(math.log(region.d) / math.log(a) - 1e-12)  # scales a**j < d
-    rows = []
-    for j in range(j_lo, j_hi):
+    log_a = math.log(a)
+    for j in range(math.ceil(math.log(region.c) / log_a) - 1,
+                   math.ceil(math.log(region.d) / log_a) + 1):
         s = a**j
-        if not (region.c <= s < region.d):
-            continue
-        step = b / a**j
-        l_lo = math.ceil(region.a / step - 1e-12)
-        l_hi = math.ceil(region.b / step - 1e-12)
-        ls = np.arange(l_lo, l_hi)
-        if ls.size:
-            rows.append(np.column_stack([ls * step, np.full(ls.size, s)]))
+        if region.c <= s < region.d:
+            step = b / s
+            yield s, step, math.ceil(region.a / step), math.ceil(region.b / step)
+
+
+def dyadic_sample_set(a: float, b: float, region: Rect) -> SampleSet:
+    """The classical scheme {(a**-j * l * b, a**j) : j, l integers} in the
+    region: geometric scales, arithmetic translations refined with scale."""
+    rows = [
+        np.column_stack([np.arange(l_lo, l_hi) * step, np.full(l_hi - l_lo, s)])
+        for s, step, l_lo, l_hi in _dyadic_rows(a, b, region)
+        if l_hi > l_lo
+    ]
     coords = np.vstack(rows) if rows else np.zeros((0, 2))
     return SampleSet(coords, {"scheme": "dyadic", "a": a, "b": b}, region)
 
@@ -181,27 +189,8 @@ def _band_matrix(
     return _atom_matrix(w, sset.points, model, band)
 
 
-def _power_iteration(matvec, dim, iters, tol, rng):
-    """Largest eigenvalue of a Hermitian PSD operator by power iteration.
-
-    Returns (rayleigh, iterations used, final relative change)."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    res = math.inf
-    used = 0
-    for used in range(1, iters + 1):
-        u = matvec(v)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            return 0.0, used, 0.0
-        new = float(np.real(np.vdot(v, u)))
-        res = abs(new - lam) / max(abs(new), 1e-300)
-        lam = new
-        v = u / nrm
-        if res < tol:
-            break
-    return lam, used, res
+# largest relative eigen-residual ||G v - lambda v|| / B that counts as solved
+_RESIDUAL_TOL = 1e-10
 
 
 def estimate_bounds(
@@ -209,19 +198,17 @@ def estimate_bounds(
     w: MotherWavelet,
     model: SignalModel,
     band: tuple[int, int],
-    iters: int = 5000,
-    seed: int = 0,
-    tol: float = 1e-8,
 ) -> FrameEstimate:
-    """Empirical frame bounds of the sample set on the band subspace.
+    """Frame bounds of the sample set on the band subspace.
 
-    B is the top eigenvalue of the band-restricted frame operator by power
-    iteration; A comes from a shifted power iteration on mu*I - S with
-    mu = 1.01 * B.  Fewer points than band dimensions raises
+    A and B are the extreme eigenvalues of the band Gram matrix
+    G = M^T conj(M), the frame operator restricted to the band, from one
+    dense Hermitian eigensolve.  The certificate is the larger relative
+    eigen-residual ||G v - lambda v|| / B of the two extreme pairs;
+    ``converged`` holds when it is at most 1e-10 and A is resolved,
+    A > dim * eps * B.  Fewer points than band dimensions raises
     RankDeficiencyError rather than returning a structurally-zero A.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
     m = _band_matrix(sset, w, model, band)
     npts, dim = m.shape
     if npts < dim:
@@ -229,34 +216,27 @@ def estimate_bounds(
             f"{npts} sample points cannot frame a {dim}-dimensional band; "
             "the lower bound is structurally zero"
         )
-    mc = m.conj()
-    rng = np.random.default_rng(seed)
-    upper, it_b, res_b = _power_iteration(
-        lambda v: m.T @ (mc @ v), dim, iters, tol, rng
-    )
-    mu = 1.01 * upper
-    shifted, it_a, res_a = _power_iteration(
-        lambda v: mu * v - m.T @ (mc @ v), dim, iters, tol, rng
-    )
-    lower = mu - shifted
-    converged = res_b < tol and res_a < tol
-    ratio = upper / lower if lower > 0 else math.inf
+    # zherk forms the upper triangle of G only: half the work of m.T @ m.conj()
+    lam, vecs = np.linalg.eigh(zherk(1.0, m.T), UPLO="U")
+    lower, upper = float(lam[0]), float(lam[-1])
+    ends = vecs[:, [0, -1]]
+    g_ends = m.T @ (m @ ends.conj()).conj()  # G @ ends, from M itself
+    misfit = float(np.linalg.norm(g_ends - ends * lam[[0, -1]], axis=0).max())
+    residual = misfit / upper if upper > 0 else math.inf
+    floor = dim * math.ulp(1.0) * upper  # dim * eps * B
     return FrameEstimate(
-        lower=float(lower),
-        upper=float(upper),
-        ratio=float(ratio),
-        iterations=it_b + it_a,
+        lower=lower,
+        upper=upper,
+        ratio=upper / lower if lower > 0 else math.inf,
+        iterations=0,
         residuals={
-            "method": "power+shifted-power",
-            "upper_iters": it_b,
-            "upper_rel_change": res_b,
-            "lower_iters": it_a,
-            "lower_rel_change": res_a,
-            "shift": mu,
-            "tol": tol,
+            "method": "dense-eigh",
+            "rel_residual": residual,
+            "residual_tol": _RESIDUAL_TOL,
+            "resolution_floor": floor,
         },
         restricted_band=(int(band[0]), int(band[1])),
-        converged=converged,
+        converged=residual <= _RESIDUAL_TOL and lower > floor,
         npoints=npts,
     )
 
@@ -268,20 +248,20 @@ def _match_dyadic_density(
     if target <= 0:
         raise ValueError("cannot density-match an empty golden set")
     lo, hi = 1e-6, 1e6  # count is ~monotone decreasing in b
-    best = None
+    best_b, best_err = None, math.inf
     for _ in range(200):
         b = math.sqrt(lo * hi)
-        cand = dyadic_sample_set(a, b, region)
-        err = (len(cand) - target) / target
-        if best is None or abs(err) < abs((len(best) - target) / target):
-            best = cand
+        count = sum(l_hi - l_lo for _, _, l_lo, l_hi in _dyadic_rows(a, b, region))
+        err = (count - target) / target
+        if abs(err) < best_err:
+            best_b, best_err = b, abs(err)
         if abs(err) <= rel_tol:
-            return cand
-        if len(cand) > target:
+            break
+        if count > target:
             lo = b
         else:
             hi = b
-    return best
+    return dyadic_sample_set(a, best_b, region)
 
 
 def compare_schemes(
@@ -290,8 +270,6 @@ def compare_schemes(
     model: SignalModel,
     region: Rect,
     band: tuple[int, int],
-    iters: int = 5000,
-    seed: int = 0,
     dyadic_base: float = 2.0 ** 0.25,
 ) -> list[dict]:
     """Golden vs density-matched dyadic frame bounds for each delta.
@@ -312,7 +290,7 @@ def compare_schemes(
             else:
                 label = f"a={prov['a']:.6g},b={prov['b']:.6g}"
             try:
-                est = estimate_bounds(sset, w, model, band, iters=iters, seed=seed)
+                est = estimate_bounds(sset, w, model, band)
                 row = {
                     "delta": float(delta),
                     "scheme": prov["scheme"],
@@ -321,7 +299,6 @@ def compare_schemes(
                     "A": est.lower,
                     "B": est.upper,
                     "ratio": est.ratio,
-                    "iters": est.iterations,
                     "converged": est.converged,
                     "diagnostics": est.residuals,
                 }
@@ -334,7 +311,6 @@ def compare_schemes(
                     "A": 0.0,
                     "B": math.nan,
                     "ratio": math.inf,
-                    "iters": 0,
                     "converged": False,
                     "diagnostics": {"error": str(exc)},
                 }
@@ -342,7 +318,7 @@ def compare_schemes(
     return rows
 
 
-_CSV_COLUMNS = ["delta", "scheme", "beta_or_ab", "points", "A", "B", "ratio", "iters", "converged"]
+_CSV_COLUMNS = ["delta", "scheme", "beta_or_ab", "points", "A", "B", "ratio", "converged"]
 
 
 def comparison_to_csv(rows: list[dict], path: str) -> None:

@@ -371,13 +371,16 @@ def atom_spectrum(
     w: MotherWavelet, x: float, s: float, model: SignalModel
 ) -> np.ndarray:
     """Coefficients of the atom at (x, s) on the model's frequency bins:
-    (T*s)**-0.5 * G(xi_j / s) * exp(-2*pi*i*x*xi_j)."""
+    (T*s)**-0.5 * G(xi_j / s) * exp(-2*pi*i*x*xi_j), with x*xi_j reduced to
+    within half a turn before the exponential."""
     if s <= 0:
         raise ValueError(f"scale must be positive, got {s}")
     xi = model.freqs
+    turns = x * xi
+    turns -= np.rint(turns)
     return (
         w(xi / s)
-        * np.exp(-2j * np.pi * x * xi)
+        * np.exp(-2j * np.pi * turns)
         / math.sqrt(model.duration * s)
     )
 

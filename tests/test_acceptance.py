@@ -226,10 +226,10 @@ def test_criterion_10_frame_bound_suite():
     model = SignalModel.zeros(4096, 4096.0)
     region = Rect(0.0, 4096.0, 0.06 / 64, 0.06)
     band = guard_band(w, region, model, guard_octaves=2.0)
-    est = estimate_bounds(golden_sample_set(0.35, region), w, model, band, seed=0)
+    est = estimate_bounds(golden_sample_set(0.35, region), w, model, band)
     ratios = {}
     for delta in (0.25, 1.0):
-        e = estimate_bounds(golden_sample_set(delta, region), w, model, band, seed=0)
+        e = estimate_bounds(golden_sample_set(delta, region), w, model, band)
         ratios[delta] = e.ratio
     ok = (
         est.lower > 0

@@ -24,7 +24,7 @@ def test_lattice_count_basic():
     assert rc == 0
     assert rep["result"]["count"] == 1
     assert rep["result"]["points"][0]["n"] == 0
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["config"]["beta"] == "1"
 
 
@@ -91,7 +91,7 @@ def test_wavelet_check():
 
 def test_frame_estimate_and_rank_deficiency():
     base = ["frame", "estimate", "--scheme", "golden", "--n", "1024",
-            "--duration", "1024", "--smax", "0.1", "--iters", "3000"]
+            "--duration", "1024", "--smax", "0.1"]
     rc, rep, _ = run_json(base + ["--delta", "0.35"])
     assert rc == 0
     assert rep["result"]["converged"] is True
@@ -104,11 +104,11 @@ def test_frame_estimate_and_rank_deficiency():
 def test_frame_compare_csv(tmp_path):
     out = tmp_path / "cmp.csv"
     rc, _, _ = run(["frame", "compare", "--deltas", "0.5", "--n", "1024",
-                    "--duration", "1024", "--smax", "0.1", "--iters", "2000",
+                    "--duration", "1024", "--smax", "0.1",
                     "--format", "csv", "--output", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "delta,scheme,beta_or_ab,points,A,B,ratio,iters,converged"
+    assert lines[0] == "delta,scheme,beta_or_ab,points,A,B,ratio,converged"
     assert len(lines) == 3
 
 
@@ -143,25 +143,33 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_none_default_keys_take_the_flag_type(tmp_path):
     cfg = tmp_path / "cover.cfg"
-    cfg.write_text("beta = 0.3\nk = -3:3\nl = -1:1\nthreads = 1\n")
+    cfg.write_text("beta = 0.3\nk = -3:3\nl = -1:1\n")
     rc, rep, _ = run_json(["--config", str(cfg), "cover", "audit", "--delta", "0.5"])
     assert rc == 0
     assert rep["config"]["beta"] == 0.3  # float flag, default None
-    assert rep["config"]["threads"] == 1  # int flag, default None
     assert rep["result"]["beta"] == 0.3
     cfg = tmp_path / "frame.cfg"
     cfg.write_text("duration = 128\nn = 128\nsmax = 0.5\n")
     rc, rep, _ = run_json(["--config", str(cfg), "frame", "estimate", "--scheme", "golden",
-                           "--delta", "1.0", "--iters", "50"])
+                           "--delta", "1.0"])
     assert rc in (0, 2)
     assert rep["config"]["duration"] == 128.0
     assert rep["config"]["n"] == 128
-    for text in ("threads = many\n", "format = xml\n", "command = frame\n"):
+    for text in ("beta = many\n", "format = xml\n", "command = frame\n"):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         rc, _, err = run(["--config", str(bad), "cover", "audit", "--delta", "0.5"])
         assert rc == 1, text
         assert err.count("\n") == 1 and text.split()[0] in err
+
+
+def test_removed_flags_are_usage_errors():
+    for flag in ("--iters", "--threads"):
+        rc, out, err = run(["frame", "estimate", "--scheme", "golden", "--n", "128",
+                            flag, "2"])
+        assert rc == 1, flag
+        assert out == ""
+        assert err.count("\n") == 1 and flag in err
 
 
 def test_enumeration_cap_exits_2_with_one_line():

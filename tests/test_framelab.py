@@ -7,6 +7,7 @@ from goldwave.covering import beta_for_delta
 from goldwave.framelab import (
     RankDeficiencyError,
     _band_matrix,
+    _match_dyadic_density,
     SampleSet,
     analysis,
     compare_schemes,
@@ -81,6 +82,19 @@ def test_dyadic_halving_b_doubles_count():
 def test_dyadic_empty_region_flagged():
     sset = dyadic_sample_set(2.0, 1.0, Rect(0.0, 8.0, 1.1, 1.9))  # no power of 2
     assert sset.empty
+
+
+def test_dyadic_half_open_rule_has_no_slack():
+    # 4 * b = 8 - 8e-13 lies inside [0, 8); a slack of 1e-12 on l < 8 / b
+    # dropped it
+    b = 2 * (1 - 1e-13)
+    sset = dyadic_sample_set(2.0, b, Rect(0.0, 8.0, 0.9, 1.1))
+    assert len(sset) == 5
+    assert sset.points[-1, 0] == 4 * b < 8.0
+    # scales: c <= a**j < d, so 1 is in and 4 is out
+    sset = dyadic_sample_set(2.0, 1.0, Rect(0.0, 8.0, 1.0, 4.0))
+    assert sorted(set(sset.points[:, 1])) == [1.0, 2.0]
+    assert len(sset) == 24
 
 
 def test_dyadic_validation():
@@ -172,7 +186,7 @@ def test_estimate_bounds_sandwich_random_signals():
     rng = np.random.default_rng(3)
     model, region, band = small_setup()
     sset = golden_sample_set(0.5, region)
-    est = estimate_bounds(sset, W, model, band, seed=0)
+    est = estimate_bounds(sset, W, model, band)
     assert est.converged and est.lower > 0
     j_lo, j_hi = band
     for _ in range(30):
@@ -198,8 +212,8 @@ def test_nested_sets_monotone_bounds():
     big = golden_sample_set(0.5, region)
     keep = rng.random(len(big)) < 0.7
     small = SampleSet(big.points[keep], {"scheme": "subset"}, region)
-    e_small = estimate_bounds(small, W, model, band, seed=1)
-    e_big = estimate_bounds(big, W, model, band, seed=1)
+    e_small = estimate_bounds(small, W, model, band)
+    e_big = estimate_bounds(big, W, model, band)
     tol = 1e-6
     assert e_small.upper <= e_big.upper * (1 + tol)
     assert e_small.lower <= e_big.lower * (1 + tol)
@@ -209,16 +223,57 @@ def test_dense_golden_ratio_near_tight():
     # far below the critical scale the normalized system is nearly tight
     model, region, band = small_setup()
     dense = golden_sample_set(0.25, region, beta=beta_for_delta(0.25) / 2.0)
-    est = estimate_bounds(dense, W, model, band, seed=0)
+    est = estimate_bounds(dense, W, model, band)
     assert est.converged
     assert 1.0 <= est.ratio <= 1.2
+
+
+def _svd_bounds(sset, model, band):
+    sv = np.linalg.svd(_band_matrix(sset, W, model, band), compute_uv=False)
+    return sv[-1] ** 2, sv[0] ** 2
+
+
+@pytest.mark.parametrize("delta", [0.35, 1.0])
+def test_golden_bounds_match_dense_svd(delta):
+    model, region, band = small_setup(n=4096, duration=4096.0, smax=0.06)
+    sset = golden_sample_set(delta, region)
+    est = estimate_bounds(sset, W, model, band)
+    lower, upper = _svd_bounds(sset, model, band)
+    assert est.lower == pytest.approx(lower, rel=1e-6)
+    assert est.upper == pytest.approx(upper, rel=1e-6)
+    assert est.converged
+
+
+@pytest.mark.parametrize("n, smax", [(4096, 0.06), (512, 0.1)])
+def test_compare_rows_match_dense_svd(n, smax):
+    # the density-matched dyadic row at delta = 1 is the ill-conditioned one:
+    # at N = 4096 its A is about 1e-6 against B about 30
+    model, region, band = small_setup(n=n, duration=float(n), smax=smax)
+    golden = golden_sample_set(1.0, region)
+    dyadic = _match_dyadic_density(len(golden), 2.0**0.25, region)
+    rows = compare_schemes([1.0], W, model, region, band)
+    for row, sset in zip(rows, (golden, dyadic)):
+        assert row["points"] == len(sset)
+        lower, upper = _svd_bounds(sset, model, band)
+        assert row["A"] == pytest.approx(lower, rel=1e-6)
+        assert row["B"] == pytest.approx(upper, rel=1e-6)
+        assert row["converged"] is True
+
+
+def test_repeated_point_is_not_converged():
+    # dim copies of one point pass the point-count check but have rank 1
+    model, region, band = small_setup()
+    dim = band[1] - band[0] + 1
+    sset = SampleSet(np.tile([[100.0, 0.01]], (dim, 1)), {"scheme": "repeated"}, region)
+    est = estimate_bounds(sset, W, model, band)
+    assert est.upper > 0
+    assert est.converged is False
+    assert est.lower <= est.residuals["resolution_floor"]
 
 
 def test_estimate_bounds_validation():
     model, region, band = small_setup()
     sset = golden_sample_set(0.5, region)
-    with pytest.raises(ValueError):
-        estimate_bounds(sset, W, model, band, iters=0)
     with pytest.raises(ValueError):
         estimate_bounds(sset, W, model, (0, 10))  # band touches DC bin
 
@@ -231,8 +286,8 @@ def test_phase_space_translation_covariance():
     base = golden_sample_set(0.5, region)
     tau = 64.0
     shifted = SampleSet(base.points + np.array([tau, 0.0]), {"scheme": "shifted"}, region)
-    e0 = estimate_bounds(base, W, model, band, seed=2)
-    e1 = estimate_bounds(shifted, W, model, band, seed=2)
+    e0 = estimate_bounds(base, W, model, band)
+    e1 = estimate_bounds(shifted, W, model, band)
     assert e0.upper == pytest.approx(e1.upper, rel=1e-6)
     assert e0.lower == pytest.approx(e1.lower, rel=1e-4)
 
@@ -243,7 +298,7 @@ def test_phase_space_translation_covariance():
 
 def test_compare_schemes_shape_and_density(tmp_path):
     model, region, band = small_setup()
-    rows = compare_schemes([1.0, 0.5], W, model, region, band, iters=2000)
+    rows = compare_schemes([1.0, 0.5], W, model, region, band)
     assert len(rows) == 4
     assert [r["scheme"] for r in rows] == ["golden", "dyadic", "golden", "dyadic"]
     for g, d in zip(rows[::2], rows[1::2]):

@@ -199,8 +199,9 @@ def test_atom_matrix_rows_match_atom_spectrum(n, w, xi_peak):
         assert atoms.shape == (x.size, j.size)
         for row, (xk, sk) in zip(atoms, pts):
             ref = atom_spectrum(w, xk, sk, model)[j_lo - 1 : j_hi]
-            # 1e-12 of the row's max, plus the direct formula's own rounding
-            # of its phase 2*pi*x*j/T: four roundings of 2**-53 each
+            # 1e-12 of the row's max, plus the oracle's own rounding of x*j/T
+            # before its reduction to whole turns: four roundings of 2**-53
+            # each of the phase 2*pi*x*j/T
             phase = 2 * np.pi * xk * j / t
             tol = 1e-12 * np.abs(ref).max() + 4 * 2.0**-53 * phase * np.abs(ref)
             assert np.all(np.abs(row - ref) <= tol)
