@@ -60,13 +60,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_floats(text: str, n: int, flag: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise UsageError(f"{flag} expects {n} comma-separated values, got {text!r}")
+def _finite(text: str) -> float:
+    """argparse type of the float flags: a finite number."""
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parse_floats(text: str, n: int, flag: str, sep: str = ",") -> list[float]:
+    parts = text.split(sep)
+    if len(parts) != n:
+        raise UsageError(f"{flag} expects {n} values separated by {sep!r}, got {text!r}")
+    try:
+        return [_finite(p) for p in parts]
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{flag}: {exc}") from None
 
 
@@ -85,10 +96,10 @@ def _parse_area(text: str) -> float:
     if text in _AREA_ALIASES:
         return _AREA_ALIASES[text]
     try:
-        area = float(text)
-    except ValueError:
+        area = _finite(text)
+    except argparse.ArgumentTypeError:
         raise UsageError(
-            f"area must be a number or one of {sorted(_AREA_ALIASES)}, got {text!r}"
+            f"area must be a finite number or one of {sorted(_AREA_ALIASES)}, got {text!r}"
         ) from None
     if area <= 0:
         raise UsageError(f"area must be positive, got {area}")
@@ -129,13 +140,14 @@ def build_parser() -> _Parser:
                    help=f"rectangle area; aliases: {sorted(_AREA_ALIASES)}")
     a.add_argument("--trials", type=int, default=10000)
     a.add_argument("--aspect", default="0.001:1000", help="log-uniform aspect range lo:hi")
-    a.add_argument("--window", type=float, default=1000.0, help="center placement half-width")
+    a.add_argument("--window", type=_finite, default=1000.0,
+                   help="center placement half-width")
 
     cov = sub.add_parser("cover", help="phase-space covering audits")
     covsub = cov.add_subparsers(dest="subcommand", required=True)
     ca = covsub.add_parser("audit", parents=[shared], help="per-cell lattice counts over an index window")
-    ca.add_argument("--delta", type=float, required=True)
-    ca.add_argument("--beta", type=float, default=None,
+    ca.add_argument("--delta", type=_finite, required=True)
+    ca.add_argument("--beta", type=_finite, default=None,
                     help="defaults to delta / sqrt(2 + alpha)")
     ca.add_argument("--k", default="-200:200", help="k index range lo:hi")
     ca.add_argument("--l", default="-20:20", help="l index range lo:hi")
@@ -144,27 +156,27 @@ def build_parser() -> _Parser:
     wavsub = wav.add_subparsers(dest="subcommand", required=True)
     wc = wavsub.add_parser("check", parents=[shared], help="admissibility and decay conditions")
     wc.add_argument("--family", required=True)
-    wc.add_argument("--order", type=float, default=6.0, help="cauchy order p")
-    wc.add_argument("--center", type=float, default=1.0, help="gaussian_bump center")
-    wc.add_argument("--width", type=float, default=0.1, help="gaussian_bump width")
-    wc.add_argument("--threshold", type=float, default=1e-8, help="decay tail threshold")
+    wc.add_argument("--order", type=_finite, default=6.0, help="cauchy order p")
+    wc.add_argument("--center", type=_finite, default=1.0, help="gaussian_bump center")
+    wc.add_argument("--width", type=_finite, default=0.1, help="gaussian_bump width")
+    wc.add_argument("--threshold", type=_finite, default=1e-8, help="decay tail threshold")
 
     fr = sub.add_parser("frame", help="frame-bound estimation")
     frsub = fr.add_subparsers(dest="subcommand", required=True)
 
     def add_model_flags(q):
         q.add_argument("--n", type=int, default=4096, help="model length (power of two)")
-        q.add_argument("--duration", type=float, default=None, help="defaults to n")
-        q.add_argument("--smax", type=float, default=0.06, help="top of the scale band")
-        q.add_argument("--octaves", type=float, default=6.0, help="scale band depth")
-        q.add_argument("--guard", type=float, default=2.0, help="guard margin in octaves")
+        q.add_argument("--duration", type=_finite, default=None, help="defaults to n")
+        q.add_argument("--smax", type=_finite, default=0.06, help="top of the scale band")
+        q.add_argument("--octaves", type=_finite, default=6.0, help="scale band depth")
+        q.add_argument("--guard", type=_finite, default=2.0, help="guard margin in octaves")
 
     fe = frsub.add_parser("estimate", parents=[shared], help="frame bounds for one sample set")
     fe.add_argument("--scheme", choices=["golden", "dyadic"], required=True)
-    fe.add_argument("--delta", type=float, default=0.35)
-    fe.add_argument("--beta", type=float, default=None)
-    fe.add_argument("--a", type=float, default=2.0, help="dyadic scale base")
-    fe.add_argument("--b", type=float, default=1.0, help="dyadic translation step")
+    fe.add_argument("--delta", type=_finite, default=0.35)
+    fe.add_argument("--beta", type=_finite, default=None)
+    fe.add_argument("--a", type=_finite, default=2.0, help="dyadic scale base")
+    fe.add_argument("--b", type=_finite, default=1.0, help="dyadic translation step")
     add_model_flags(fe)
     fc = frsub.add_parser("compare", parents=[shared], help="golden vs density-matched dyadic table")
     fc.add_argument("--deltas", required=True, help="comma-separated delta values")
@@ -211,7 +223,7 @@ def _load_config(path: str, args: argparse.Namespace, argv: list[str], parser) -
         convert = action.type or (default_type if default_type in (int, float) else str)
         try:
             value = convert(value)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise UsageError(f"{path}:{lineno}: {key}: invalid value {value!r}") from None
         if action.choices is not None and value not in action.choices:
             raise UsageError(f"{path}:{lineno}: {key} must be one of {list(action.choices)}")
@@ -242,14 +254,14 @@ def _cmd_lattice_count(args) -> tuple[dict, int]:
         raise UsageError(f"degenerate rectangle {args.rect!r}: need b > a and d > c")
     try:
         beta = Fraction(args.beta)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--beta: not a number: {args.beta!r}") from None
-    if beta <= 0:
-        raise UsageError(f"--beta must be positive, got {args.beta}")
+        fb = float(beta)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise UsageError(f"--beta: not a finite number: {args.beta!r}") from None
+    if not fb > 0:
+        raise UsageError(f"--beta must be a positive float, got {args.beta}")
     pts = enumerate_in_rect(LatticeSpec(beta=beta), Rect(a, b, c, d))
     result = {"count": len(pts)}
     if len(pts) <= 100:
-        fb = float(beta)
         result["points"] = [
             {"n": p.n, "m": p.m, "x": p.x.to_float() * fb, "s": p.s.to_float() * fb}
             for p in pts
@@ -261,7 +273,7 @@ def _cmd_lattice_audit(args) -> tuple[dict, int]:
     area = _parse_area(args.area)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    lo, hi = (float(t) for t in args.aspect.split(":"))
+    lo, hi = _parse_floats(args.aspect, 2, "--aspect", sep=":")
     fn = audit_min_count if args.mode == "min" else audit_max_count
     audit = fn(area, args.trials, seed=args.seed,
                aspect_range=(lo, hi), center_range=args.window)
@@ -394,8 +406,8 @@ def _cmd_frame_estimate(args) -> tuple[dict, int]:
 
 def _cmd_frame_compare(args) -> tuple[dict, int]:
     try:
-        deltas = [float(d) for d in args.deltas.split(",")]
-    except ValueError:
+        deltas = [_finite(d) for d in args.deltas.split(",")]
+    except argparse.ArgumentTypeError:
         raise UsageError(f"--deltas: not a number list: {args.deltas!r}") from None
     if not deltas or any(d <= 0 for d in deltas):
         raise UsageError(f"--deltas must be positive, got {args.deltas!r}")

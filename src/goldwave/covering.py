@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .goldenring import ALPHA_FLOAT
-from .lattice import Rect, count_x_translates
+from .lattice import _DEFAULT_CAP, EnumerationCapError, Rect, count_rects
 
 __all__ = [
     "CoverSpec",
@@ -39,8 +39,8 @@ class CoverSpec:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -121,48 +121,50 @@ def audit_cover(
     """Count beta*Gamma points in every cell with k, l in the given closed
     index ranges.  beta defaults to beta_for_delta(delta).
 
-    Cells in one l-row share their shape, so each row is counted in one
-    vectorized sweep; rows at large |l| have extreme aspect ratios but cost
-    the same as central rows.
+    All cells go to ``count_rects`` as one batch, whose reduced bases keep
+    rows at large |l|, with their extreme aspect ratios, as cheap as central
+    rows.  Raises EnumerationCapError for more cells than the enumeration
+    cap, or for a row whose cells leave the double-precision range.
     """
     spec = CoverSpec(delta)
     if beta is None:
         beta = beta_for_delta(delta)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     k_lo, k_hi = k_range
     l_lo, l_hi = l_range
     if k_lo > k_hi or l_lo > l_hi:
         raise ValueError("empty index range")
-    ks = np.arange(k_lo, k_hi + 1)
-    min_count = None
-    max_count = None
-    empty: list[tuple[int, int]] = []
-    histogram: dict[int, int] = {}
+    cells = (k_hi - k_lo + 1) * (l_hi - l_lo + 1)
+    if cells > _DEFAULT_CAP or max(-k_lo, k_hi) >= 2**52:
+        raise EnumerationCapError(
+            f"{cells} cells with k in [{k_lo}, {k_hi}] exceed cap {_DEFAULT_CAP} or 2**52"
+        )
+    rows = []
     for l in range(l_lo, l_hi + 1):
-        s_lo, s_hi = _scale_interval(spec.delta, l)
-        width = spec.delta**2 / (s_hi - s_lo)
-        counts = count_x_translates(beta, ks * width, width, s_lo, s_hi)
-        row_min = int(counts.min())
-        row_max = int(counts.max())
-        min_count = row_min if min_count is None else min(min_count, row_min)
-        max_count = row_max if max_count is None else max(max_count, row_max)
-        if row_min == 0 and len(empty) < max_empty_recorded:
-            for k in ks[counts == 0]:
-                if len(empty) >= max_empty_recorded:
-                    break
-                empty.append((int(k), l))
-        values, freqs = np.unique(counts, return_counts=True)
-        for v, f in zip(values, freqs):
-            histogram[int(v)] = histogram.get(int(v), 0) + int(f)
+        try:
+            s_lo, s_hi = _scale_interval(spec.delta, l)
+            width = spec.delta**2 / (s_hi - s_lo)
+        except (OverflowError, ZeroDivisionError):
+            width = math.inf
+        if not 0 < width < math.inf:
+            raise EnumerationCapError(f"cells of row l={l} leave the double-precision range")
+        rows.append((width, s_lo, s_hi))
+    width, s_lo, s_hi = (np.repeat(v, k_hi - k_lo + 1) for v in np.array(rows).T)
+    ks = np.tile(np.arange(k_lo, k_hi + 1), l_hi - l_lo + 1)
+    a = ks * width
+    counts = count_rects(beta, a, a + width, s_lo, s_hi)
+    empty = [(k_lo + int(i) % (k_hi - k_lo + 1), l_lo + int(i) // (k_hi - k_lo + 1))
+             for i in np.flatnonzero(counts == 0)[:max_empty_recorded]]
+    values, freqs = np.unique(counts, return_counts=True)
     return CoverAudit(
         delta=spec.delta,
         beta=float(beta),
         k_range=(k_lo, k_hi),
         l_range=(l_lo, l_hi),
-        min_count=int(min_count),
-        max_count=int(max_count),
+        min_count=int(counts.min()),
+        max_count=int(counts.max()),
         empty_cells=empty,
-        cells_checked=int(ks.size * (l_hi - l_lo + 1)),
-        histogram=histogram,
+        cells_checked=cells,
+        histogram={int(v): int(f) for v, f in zip(values, freqs)},
     )

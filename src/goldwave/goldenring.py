@@ -97,18 +97,6 @@ TWO_PLUS_ALPHA = GoldenNumber(2, 1)
 THREE_PLUS_TWO_ALPHA = GoldenNumber(3, 2)
 
 
-def gn_add(x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
-    return x + y
-
-
-def gn_mul(x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
-    return x * y
-
-
-def gn_sign(x: GoldenNumber) -> int:
-    return x.sign()
-
-
 def fibonacci(n: int) -> int:
     """n-th Fibonacci number, f0 = 0, f1 = 1, iteratively."""
     if n < 0:

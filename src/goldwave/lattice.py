@@ -5,22 +5,24 @@ alpha the inverse golden ratio.  The point with index (n, m) has coordinates
 (n - m*alpha, m + n*alpha), both elements of Z[alpha], so membership in a
 rectangle with rational (or Z[alpha]) edges can be decided exactly.
 
-Counting machinery:
-
-* ``enumerate_in_rect`` lists the points of beta*Gamma inside a half-open
-  rectangle.  Candidates come from a Gauss-reduced lattice basis adapted to
-  the rectangle's aspect ratio, so even extremely thin or wide rectangles
-  enumerate in time proportional to the expected number of points.
-* ``count_rects`` counts points in many rectangles at once (float path,
-  vectorized over an integer sweep of one lattice index).
-* ``audit_min_count`` / ``audit_max_count`` run randomized plus
-  lattice-anchored adversarial ensembles of fixed-area rectangles and report
-  the extreme counts with reproducing witnesses.
+Counting has one engine.  ``count_rects`` Lagrange-Gauss reduces the
+lattice basis of every rectangle at once, in the frame where the rectangle
+is a square, and takes as candidates the small integer box that the reduced
+basis maps onto a parallelogram covering the rectangle; rectangles with
+equally shaped boxes are checked together.  A rectangle of any aspect ratio
+thus costs about as many candidates as a square of its area.
+``enumerate_in_rect`` lists the points of one rectangle from the same box.
+``audit_min_count`` / ``audit_max_count`` run randomized plus
+lattice-anchored adversarial ensembles of fixed-area rectangles and report
+the extreme counts with reproducing witnesses.
 
 Boundary policy: membership at half-open edges uses exact sign tests when the
-rectangle edges and beta are rational or Z[alpha]-valued; otherwise strict
-IEEE comparisons with no epsilon.  Randomized audits draw edges from
-continuous distributions, so float ties occur with probability zero.
+rectangle edges and beta are rational or Z[alpha]-valued; otherwise IEEE
+comparisons, with no epsilon, of the compensated float64 coordinates of
+``lattice_coords``.  Randomized audits draw edges from continuous
+distributions, so float ties occur with probability zero.  Indices stay
+below 2**52, where those coordinates are exact; a rectangle that needs
+larger ones, or more candidates than the cap, raises EnumerationCapError.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ __all__ = [
     "LatticePoint",
     "CountAudit",
     "EnumerationCapError",
-    "lattice_point",
     "enumerate_in_rect",
     "count_in_rect",
     "count_rects",
-    "count_x_translates",
     "audit_min_count",
     "audit_max_count",
     "diophantine_gap",
@@ -53,9 +53,6 @@ __all__ = [
 
 # det A = 1 + alpha**2 = 2 - alpha
 DET_FLOAT = 2.0 - ALPHA_FLOAT
-
-# alpha in 80-bit precision, for the interval-sweep counting path
-_ALPHA_L = (np.sqrt(np.longdouble(5)) - 1) / 2
 
 
 def _alpha_double_double() -> tuple[float, float]:
@@ -105,11 +102,14 @@ def lattice_coords(n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
 # (g, q) standing for g / q with g in Z[alpha] and q a positive integer.
 ExactEdge = int | Fraction | GoldenNumber | tuple[GoldenNumber, int]
 
-_DEFAULT_CAP = 100_000_000
+_DEFAULT_CAP = 100_000_000  # candidates per call
+_INDEX_LIMIT = 2.0**52  # lattice_coords is exact for smaller indices
+_BOX_TOL = 1e-12  # relative widening of the candidate boxes, ~4500 ulps
+_BLOCK = 1 << 16  # candidates checked per vectorized step
 
 
 class EnumerationCapError(RuntimeError):
-    """Candidate box larger than the configured enumeration cap."""
+    """Candidates over the enumeration cap, or lattice indices beyond 2**52."""
 
 
 def _edge_float(e: ExactEdge) -> float:
@@ -200,8 +200,8 @@ class LatticeSpec:
     restrict_upper_half: bool = False
 
     def __post_init__(self):
-        if not (float(self.beta) > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < float(self.beta) < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     @property
     def beta_float(self) -> float:
@@ -229,95 +229,140 @@ class LatticePoint:
     def s(self) -> GoldenNumber:
         return GoldenNumber(self.m, self.n)
 
-    @property
-    def xy(self) -> tuple[float, float]:
-        return (self.x.to_float(), self.s.to_float())
-
-
-def lattice_point(n: int, m: int) -> LatticePoint:
-    return LatticePoint(n, m)
-
 
 # ---------------------------------------------------------------------------
-# candidate generation via Gauss-reduced bases
+# the counting engine: reduced bases, candidate boxes, membership
 
 
-def _scaled_columns(u: np.ndarray, beta: float, width: float, height: float) -> np.ndarray:
-    """Coordinates of the lattice vectors indexed by the columns of ``u``, in
-    the frame where the target rectangle is a unit square.  Computed from the
-    integer indices with compensated products, so thin rectangles at huge
-    offsets lose no precision."""
+def _frame(u: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x*k, s/k) of the lattice vectors with indices u = (n, m),
+    for both basis columns of u at once.  Computed from the integer indices
+    with compensated products, so thin rectangles at huge offsets lose no
+    precision."""
     x, s = lattice_coords(u[0], u[1])
-    return np.stack([beta / width * x, beta / height * s])
+    return x * k, s / k
 
 
-def _reduced_index_basis(beta: float, width: float, height: float) -> np.ndarray:
-    """Unimodular U whose columns index a Lagrange-reduced basis for the
-    lattice scaled by the rectangle shape.
+def _reduced_bases(k: np.ndarray) -> np.ndarray:
+    """Index bases u, shape (2, 2, N), with u[:, 0] and u[:, 1] the index
+    columns (n, m) of a Lagrange-Gauss reduced basis of the lattice in the
+    frame (x*k, s/k), for every factor k at once.
 
-    U is updated exactly in integers and the working coordinates are
-    recomputed from U every step, so no float error accumulates even for
-    aspect ratios of 1e13 and beyond.
+    With k = sqrt(h/w) that frame turns a w x h rectangle into a square.  The
+    indices are updated exactly in integers below 2**52 and the frame
+    coordinates recomputed from them every step, so no float error
+    accumulates even for aspect ratios of 1e13 and beyond.  A rectangle
+    leaves the loop once its step is 0.
     """
-    u = np.eye(2, dtype=np.int64)
+    w = np.zeros((2, 2, k.size), dtype=np.int64)
+    w[0, 0] = w[1, 1] = 1
+    u = np.empty_like(w)
+    live = np.arange(k.size)
     for _ in range(128):
-        b = _scaled_columns(u, beta, width, height)
-        n0 = b[:, 0] @ b[:, 0]
-        n1 = b[:, 1] @ b[:, 1]
-        if n1 < n0:
-            u = u[:, ::-1].copy()
-            b = b[:, ::-1]
-            n0, n1 = n1, n0
-        r = round(float((b[:, 0] @ b[:, 1]) / n0))
-        if r == 0:
-            break
-        u[:, 1] -= r * u[:, 0]
+        x, s = _frame(w, k)
+        norm = x * x + s * s
+        w = np.where(norm[1] < norm[0], w[:, ::-1], w)
+        step = np.rint((x[0] * x[1] + s[0] * s[1]) / norm.min(axis=0))
+        done = step == 0
+        if done.any():
+            u[..., live[done]] = w[..., done]
+            keep = ~done
+            live, k, step, w = live[keep], k[keep], step[keep], w[..., keep]
+            if live.size == 0:
+                break
+        if not (np.abs(step * w[:, 0]) + np.abs(w[:, 1]) < _INDEX_LIMIT).all():
+            raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
+        w[:, 1] -= step.astype(np.int64) * w[:, 0]
+    u[..., live] = w
     return u
 
 
-def _candidate_indices(beta: float, rect: Rect, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer index pairs (n, m) covering all lattice points of beta*Gamma
-    possibly inside ``rect``."""
-    u = _reduced_index_basis(beta, rect.width, rect.height)
-    inv = np.linalg.inv(_scaled_columns(u, beta, rect.width, rect.height))
-    corners = np.array(
-        [
-            [rect.a / rect.width, rect.b / rect.width] * 2,
-            [rect.c / rect.height] * 2 + [rect.d / rect.height] * 2,
-        ]
-    )
-    q = inv @ corners
-    i_lo = math.floor(q[0].min()) - 1
-    i_hi = math.ceil(q[0].max()) + 1
-    j_lo = math.floor(q[1].min()) - 1
-    j_hi = math.ceil(q[1].max()) + 1
-    ncand = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
-    if ncand > cap:
+def _boxes(beta: float, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced index bases u and candidate boxes (lo, size) of the rectangles
+    [a, b) x [c, d): every point of beta*Gamma in rectangle r has indices
+    u[..., r] @ (i, j) with lo[:, r] <= (i, j) < lo[:, r] + size[:, r].
+
+    The box bounds the preimage of the rectangle under the reduced basis,
+    widened by a relative tolerance far above float rounding.  All outputs
+    are int64 arrays.  Raises EnumerationCapError when the boxes hold more
+    than the cap of candidates in total or reach indices beyond 2**52,
+    where ``lattice_coords`` stops being exact.
+    """
+    edges = np.stack([a, b, c, d])
+    if not (0 < beta < math.inf and np.isfinite(edges).all() and (a < b).all() and (c < d).all()):
+        raise ValueError(f"need finite beta > 0 (got {beta}) and finite edges, a < b, c < d")
+    # widths beyond the float range and the huge boxes that go with them
+    # overflow to inf; the checks below turn that into EnumerationCapError
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k = np.sqrt(d - c) / np.sqrt(b - a)
+        # rectangles of one shape (a covering row) share one reduction
+        shapes, inverse = np.unique(k, return_inverse=True)
+        u = _reduced_bases(shapes)[..., inverse]
+        (x0, x1), (s0, s1) = _frame(u, k)
+        inv = np.array([[s1, -x1], [-s0, x0]]) / (x0 * s1 - x1 * s0)
+        # the rectangle's corners in the frame, then in index space
+        corners = np.stack([edges[[0, 1, 0, 1]] * (k / beta), edges[[2, 2, 3, 3]] / (k * beta)])
+        q = np.einsum("ijr,jcr->icr", inv, corners)
+        tol = _BOX_TOL * np.abs(q).max(axis=(0, 1))
+        lo = np.ceil(q.min(axis=1) - tol)
+        size = np.floor(q.max(axis=1) + tol) - lo + 1
+        total = np.sum(size[0] * size[1])
+        # bound on the int64 products below, which may cancel to small indices
+        reach = (np.abs(u) * np.maximum(np.abs(lo), np.abs(lo + size))).sum(axis=1)
+        lo, size = lo.astype(np.int64), size.astype(np.int64)
+    if not total <= _DEFAULT_CAP:
         raise EnumerationCapError(
-            f"candidate box of {ncand} cells exceeds cap {cap}"
+            f"candidate boxes of {total:.3g} cells exceed cap {_DEFAULT_CAP}"
         )
-    ii, jj = np.meshgrid(
-        np.arange(i_lo, i_hi + 1, dtype=np.int64),
-        np.arange(j_lo, j_hi + 1, dtype=np.int64),
-        indexing="ij",
-    )
-    ii = ii.ravel()
-    jj = jj.ravel()
-    n = u[0, 0] * ii + u[0, 1] * jj
-    m = u[1, 0] * ii + u[1, 1] * jj
+    # indices are linear over a box, so its corners bound them
+    i, j = np.stack([lo, lo + np.maximum(size - 1, 0)]).transpose(1, 0, 2)
+    if not ((reach < 2.0**62).all() and all(
+            (np.abs(row[0] * i[:, None] + row[1] * j) < _INDEX_LIMIT).all() for row in u)):
+        raise EnumerationCapError("candidate box needs lattice indices beyond 2**52")
+    return u, lo, size
+
+
+def _candidates(u, lo, ni: int, nj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (n, m) of boxes of ni x nj candidates from corners lo, one
+    row per box."""
+    di, dj = np.divmod(np.arange(ni * nj), nj)
+    ii = lo[0][:, None] + di
+    jj = lo[1][:, None] + dj
+    n = u[0, 0][:, None] * ii + u[0, 1][:, None] * jj
+    m = u[1, 0][:, None] * ii + u[1, 1][:, None] * jj
     return n, m
 
 
-def _float_membership(
-    n: np.ndarray, m: np.ndarray, beta: float, rect: Rect, upper_half: bool
-) -> np.ndarray:
-    x, s = lattice_coords(n, m)
-    x = beta * x
-    s = beta * s
-    keep = (x >= rect.a) & (x < rect.b) & (s >= rect.c) & (s < rect.d)
-    if upper_half:
-        keep &= s > 0
-    return keep
+def _blocks(beta: float, a, b, c, d):
+    """The candidates of the rectangles [a, b) x [c, d) in blocks of about
+    ``_BLOCK``: yields (owner, n, m, keep), the indices of candidates of the
+    rectangles ``owner``, one row each, and their float membership.
+
+    Boxes are cut along i into pieces of at most ``_BLOCK`` candidates (or
+    one row), so memory stays bounded, and pieces of one shape are checked
+    together.
+    """
+    u, lo, size = _boxes(beta, a, b, c, d)
+    rows = np.maximum(_BLOCK // np.maximum(size[1], 1), 1)
+    pieces = -(-size[0] // rows) * (size[1] > 0)
+    owner = np.repeat(np.arange(a.size), pieces)
+    i_off = (np.arange(owner.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)) * rows[owner]
+    lo = lo[:, owner] + [[1], [0]] * i_off
+    size = np.stack([np.minimum(rows[owner], size[0, owner] - i_off), size[1, owner]])
+    shape = size[0] * (size[1].max(initial=0) + 1) + size[1]
+    for key in np.unique(shape):
+        group = np.flatnonzero(shape == key)
+        ni, nj = size[:, group[0]]
+        per_block = max(1, _BLOCK // (ni * nj))
+        for start in range(0, group.size, per_block):
+            r = group[start:start + per_block]
+            o = owner[r]
+            n, m = _candidates(u[..., o], lo[:, r], ni, nj)
+            x, s = lattice_coords(n, m)
+            x *= beta
+            s *= beta
+            keep = (x >= a[o, None]) & (x < b[o, None]) & (s >= c[o, None]) & (s < d[o, None])
+            yield o, n, m, keep
 
 
 def _exact_cmp(value: GoldenNumber, edge: ExactEdge, beta: Fraction) -> int:
@@ -327,11 +372,9 @@ def _exact_cmp(value: GoldenNumber, edge: ExactEdge, beta: Fraction) -> int:
     return (value * (beta.numerator * q) - g * beta.denominator).sign()
 
 
-def _exact_member(pt: LatticePoint, rect: Rect, beta: Fraction, upper_half: bool) -> bool:
+def _exact_member(pt: LatticePoint, rect: Rect, beta: Fraction) -> bool:
     ea, eb, ec, ed = rect.exact  # type: ignore[misc]
     x, s = pt.x, pt.s
-    if upper_half and s.sign() <= 0:
-        return False
     return (
         _exact_cmp(x, ea, beta) >= 0
         and _exact_cmp(x, eb, beta) < 0
@@ -340,177 +383,46 @@ def _exact_member(pt: LatticePoint, rect: Rect, beta: Fraction, upper_half: bool
     )
 
 
-def enumerate_in_rect(
-    spec: LatticeSpec, rect: Rect, cap: int = _DEFAULT_CAP
-) -> list[LatticePoint]:
+def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> list[LatticePoint]:
     """All points of beta*Gamma inside ``rect``, half-open membership.
 
-    Exact sign tests are used when the rectangle has exact edges and beta is
-    rational; otherwise strict float comparisons in 80-bit precision.
+    Candidates come from the rectangle's box (the one-rectangle case of
+    ``count_rects``).  Exact sign tests decide membership when the rectangle
+    has exact edges and beta is rational; otherwise IEEE comparisons of the
+    compensated float64 coordinates.
     """
     beta_frac = spec.beta_fraction
-    n, m = _candidate_indices(spec.beta_float, rect, cap)
-    if rect.exact is not None and beta_frac is not None:
-        pts = [
-            p
-            for p in (LatticePoint(int(ni), int(mi)) for ni, mi in zip(n, m))
-            if _exact_member(p, rect, beta_frac, spec.restrict_upper_half)
-        ]
-    else:
-        keep = _float_membership(n, m, spec.beta_float, rect, spec.restrict_upper_half)
-        pts = [LatticePoint(int(ni), int(mi)) for ni, mi in zip(n[keep], m[keep])]
+    exact = rect.exact is not None and beta_frac is not None
+    pts = []
+    for _, n, m, keep in _blocks(spec.beta_float, *(np.array([e]) for e in rect.edges())):
+        if exact:
+            cands = map(LatticePoint, n.ravel().tolist(), m.ravel().tolist())
+            pts += [p for p in cands if _exact_member(p, rect, beta_frac)]
+        else:
+            pts += map(LatticePoint, n[keep].tolist(), m[keep].tolist())
+    if spec.restrict_upper_half:
+        pts = [p for p in pts if p.s.sign() > 0]
     pts.sort(key=lambda p: (p.n, p.m))
     return pts
 
 
-def count_in_rect(spec: LatticeSpec, rect: Rect, cap: int = _DEFAULT_CAP) -> int:
+def count_in_rect(spec: LatticeSpec, rect: Rect) -> int:
     """Cardinality of beta*Gamma intersected with ``rect``."""
-    return len(enumerate_in_rect(spec, rect, cap))
+    return len(enumerate_in_rect(spec, rect))
 
 
-# ---------------------------------------------------------------------------
-# vectorized batch counting (float path)
+def count_rects(beta: float, a, b, c, d) -> np.ndarray:
+    """Counts of beta*Gamma in the rectangles [a, b) x [c, d), given as 1-D
+    arrays of edges, by the float membership of ``enumerate_in_rect``.
 
-
-def count_rects(
-    beta: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    d: np.ndarray,
-    cap: int = _DEFAULT_CAP,
-) -> np.ndarray:
-    """Count points of beta*Gamma in many rectangles [a,b) x [c,d) at once.
-
-    Sweeps the second lattice index m; for fixed m the membership conditions
-    reduce to an interval of the first index n, whose integer count is
-    ceil(hi) - ceil(lo).  Cost is O(sum over rects of the m-range), which for
-    fixed-area rectangles is proportional to the rectangle perimeter.
+    Every rectangle's basis is reduced in one vectorized loop, so each costs
+    about as many candidates as a square of its area, whatever its aspect
+    ratio.
     """
-    a0 = np.asarray(a, dtype=float)
-    b0 = np.asarray(b, dtype=float)
-    c0 = np.asarray(c, dtype=float)
-    d0 = np.asarray(d, dtype=float)
-    a, b, c, d = a0 / beta, b0 / beta, c0 / beta, d0 / beta
-    scale = max(
-        np.abs(a).max(initial=0), np.abs(b).max(initial=0),
-        np.abs(c).max(initial=0), np.abs(d).max(initial=0),
-    )
-    # switch to 80-bit arithmetic once float64 ulps at the edge magnitudes
-    # could plausibly move a point across a boundary
-    wide = scale > 1e4
-    dt = np.longdouble if wide else np.float64
-    alpha = dt(_ALPHA_L)
-    a, b, c, d = (v.astype(dt) for v in (a, b, c, d))
-    # extremes of m = (-alpha*x + s) / (2 - alpha) over the rectangle corners,
-    # padded by one strip so boundary rounding cannot drop a nonempty strip
-    det = dt(2) - alpha
-    m_lo = np.ceil((-alpha * b + c) / det).astype(np.int64) - 1
-    m_hi = np.floor((-alpha * a + d) / det).astype(np.int64) + 1
-    width = int((m_hi - m_lo).max(initial=-1)) + 1
-    if width <= 0:
-        return np.zeros(a.shape, dtype=np.int64)
-    if width * a.size > cap:
-        raise EnumerationCapError(
-            f"batch sweep of {width * a.size} cells exceeds cap {cap}"
-        )
-    total = np.zeros(a.shape, dtype=np.int64)
-    guard_rel = 1e-16 if wide else 1e-13
-    chunk = max(1, 4_000_000 // max(int(a.size), 1))
-    for w_off in range(0, width, chunk):
-        ws = np.arange(w_off, min(w_off + chunk, width), dtype=np.int64)
-        mg = m_lo[:, None] + ws[None, :]
-        valid = mg <= m_hi[:, None]
-        mgf = mg.astype(dt)
-        lo = np.maximum(a[:, None] + mgf * alpha, (c[:, None] - mgf) / alpha)
-        hi = np.minimum(b[:, None] + mgf * alpha, (d[:, None] - mgf) / alpha)
-        kl = np.ceil(lo)
-        kh = np.ceil(hi)
-        cnt = np.where(valid & (kh > kl), kh - kl, 0)
-        total += cnt.sum(axis=1).astype(np.int64)
-        # Boundary fix-up: where an interval endpoint sits within rounding
-        # reach of an integer, the ceil may have broken the wrong way.
-        # Recheck those candidate points with the same compensated-coordinate
-        # membership the enumerator uses, and patch the totals.
-        guard = guard_rel * np.maximum(np.abs(lo), np.abs(hi)) + 1e-300
-        near_lo = np.abs(lo - np.rint(lo)) < guard
-        near_hi = np.abs(hi - np.rint(hi)) < guard
-        doubtful = valid & (near_lo | near_hi) & (hi > lo - 1)
-        if np.any(doubtful):
-            for i, j in zip(*np.nonzero(doubtful)):
-                m = int(mg[i, j])
-                ks = set()
-                if near_lo[i, j]:
-                    ks.add(int(np.rint(float(lo[i, j]))))
-                if near_hi[i, j]:
-                    ks.add(int(np.rint(float(hi[i, j]))))
-                for k in ks:
-                    x, s = lattice_coords(np.array([k]), np.array([m]))
-                    xb, sb = beta * x[0], beta * s[0]
-                    truly_in = bool(
-                        a0.flat[i] <= xb < b0.flat[i]
-                        and c0.flat[i] <= sb < d0.flat[i]
-                    )
-                    counted = bool(kl[i, j] <= k < kh[i, j])
-                    total[i] += int(truly_in) - int(counted)
-    return total
-
-
-def count_x_translates(
-    beta: float,
-    x_starts: np.ndarray,
-    width: float,
-    c: float,
-    d: float,
-    cap: int = _DEFAULT_CAP,
-    chunk: int = 4_000_000,
-) -> np.ndarray:
-    """Counts of beta*Gamma in the rectangles [x0, x0+width) x [c, d), for
-    many x-offsets ``x_starts`` sharing one shape.
-
-    Uses a single Gauss-reduced basis for the common shape, so extreme aspect
-    ratios (covering cells at large scale offsets) stay cheap.
-    """
-    x_starts = np.asarray(x_starts, dtype=float)
-    height = d - c
-    if width <= 0 or height <= 0:
-        raise ValueError("width and height must be positive")
-    u = _reduced_index_basis(beta, width, height)
-    inv = np.linalg.inv(_scaled_columns(u, beta, width, height))
-    # preimage of each rectangle = translate of one parallelogram
-    base = inv @ np.stack([x_starts / width, np.full(x_starts.shape, c / height)])
-    span = inv @ np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-    off_lo = span.min(axis=1)
-    off_hi = span.max(axis=1)
-    size = np.ceil(off_hi - off_lo).astype(int) + 3
-    ncand = int(size[0]) * int(size[1])
-    if ncand * x_starts.size > cap:
-        raise EnumerationCapError(
-            f"translate sweep of {ncand * x_starts.size} cells exceeds cap {cap}"
-        )
-    i_lo = np.floor(base[0] + off_lo[0]).astype(np.int64) - 1
-    j_lo = np.floor(base[1] + off_lo[1]).astype(np.int64) - 1
-    di, dj = np.meshgrid(
-        np.arange(size[0], dtype=np.int64),
-        np.arange(size[1], dtype=np.int64),
-        indexing="ij",
-    )
-    di = di.ravel()
-    dj = dj.ravel()
-    counts = np.empty(x_starts.size, dtype=np.int64)
-    rows = max(1, chunk // max(ncand, 1))
-    for lo_idx in range(0, x_starts.size, rows):
-        sl = slice(lo_idx, min(lo_idx + rows, x_starts.size))
-        ii = i_lo[sl, None] + di[None, :]
-        jj = j_lo[sl, None] + dj[None, :]
-        n = u[0, 0] * ii + u[0, 1] * jj
-        m = u[1, 0] * ii + u[1, 1] * jj
-        x, s = lattice_coords(n, m)
-        x = beta * x
-        s = beta * s
-        x0 = x_starts[sl, None]
-        inside = (x >= x0) & (x < x0 + width) & (s >= c) & (s < d)
-        counts[sl] = inside.sum(axis=1)
+    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
+    counts = np.zeros(a.size, dtype=np.int64)
+    for owner, _, _, keep in _blocks(beta, a, b, c, d):
+        np.add.at(counts, owner, keep.sum(axis=1))
     return counts
 
 
@@ -571,17 +483,21 @@ def _anchored_rects(rng, area, count, aspect_range, anchor_mode):
 
 
 def _run_audit(area, trials, seed, aspect_range, center_range, anchor_mode):
-    if area <= 0:
-        raise ValueError(f"area must be positive, got {area}")
+    if not 0 < area < math.inf:
+        raise ValueError(f"area must be positive and finite, got {area}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     r_lo, r_hi = aspect_range
-    if not (0 < r_lo <= r_hi):
+    if not (0 < r_lo <= r_hi < math.inf):
         raise ValueError(f"invalid aspect range {aspect_range}")
+    if not 0 <= center_range <= _INDEX_LIMIT:
+        raise ValueError(f"center range must lie in [0, 2**52], got {center_range}")
     rng = np.random.default_rng(seed)
     n_sweep = max(trials // 10, 100)
-    ra, rb, rc, rd = _random_rects(rng, area, trials, aspect_range, center_range)
-    sa, sb, sc, sd = _anchored_rects(rng, area, n_sweep, aspect_range, anchor_mode)
+    # sides beyond the float range come out inf or 0; count_rects rejects them
+    with np.errstate(over="ignore", divide="ignore"):
+        ra, rb, rc, rd = _random_rects(rng, area, trials, aspect_range, center_range)
+        sa, sb, sc, sd = _anchored_rects(rng, area, n_sweep, aspect_range, anchor_mode)
     a = np.concatenate([ra, sa])
     b = np.concatenate([rb, sb])
     c = np.concatenate([rc, sc])

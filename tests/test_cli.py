@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldwave.cli import main
 
@@ -178,6 +181,89 @@ def test_enumeration_cap_exits_2_with_one_line():
     assert out == ""
     assert err.count("\n") == 1 and "cap" in err
     assert "Traceback" not in err
+
+
+def test_audit_over_cap_exits_2_without_int64_wrap():
+    # boxes of ~1e300 candidates must be sized before any int64 cast, which would wrap
+    rc, out, err = run(["lattice", "audit", "--mode", "min", "--area", "1e300",
+                        "--trials", "10"])
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "cap" in err
+
+
+@pytest.mark.parametrize("argv, status", [
+    ("lattice count --beta 1 --rect 0,inf,0,1", 1),
+    ("lattice count --beta 1 --rect 0,1e300,0,1", 2),
+    ("lattice count --beta 1e-300 --rect 0,1,0,1", 2),
+    ("lattice audit --mode min --area golden2 --aspect 1:inf", 1),
+    ("lattice audit --mode min --area golden2 --window inf", 1),
+    ("cover audit --delta 1 --k 0:1 --l 60:60", 2),
+    ("cover audit --delta 1 --k 0:1 --l -2000:-1999", 2),
+    ("cover audit --delta inf", 1),
+])
+def test_non_finite_and_unreachable_inputs(argv, status):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(argv.split())
+    assert rc == status
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# values for any numeric flag: valid, extreme, non-finite and malformed
+NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "2.5", "37", "1e-300", "1e300",
+                           "inf", "-inf", "nan", "x", "", "1/2"])
+RANGES = (st.builds(lambda lo, span: f"{lo}:{lo + span}", st.integers(-40, 40),
+                    st.integers(-1, 8))
+          | st.sampled_from(["60:60", "-2000:-1999", "800:801", f"0:{10**20}", "a:b", "1"]))
+RECTS = (st.builds(lambda x, w, y, h: f"{x},{x + w / 4},{y},{y + h / 4}",
+                   st.integers(-50, 50), st.integers(1, 20), st.integers(-50, 50),
+                   st.integers(1, 20))
+         | st.lists(NUMBERS, min_size=3, max_size=5).map(",".join))
+
+
+def values(*valid):
+    """A flag's values: typical ones or anything from NUMBERS."""
+    return st.sampled_from(valid) | NUMBERS
+
+
+def command(words, required, optional):
+    """argv of a command: each required flag, any subset of the optional
+    ones, with values drawn from their strategies."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda d: words + [tok for flag, value in d.items() for tok in (f"--{flag}", value)])
+
+
+COUNTING_ARGV = st.one_of(
+    command(["lattice", "count"], {"rect": RECTS, "beta": values("1", "0.5", "3/2")}, {}),
+    command(["lattice", "audit"],
+            {"mode": st.sampled_from(["min", "max", "mid"]),
+             "area": values("golden2", "inv3p2a", "0.3", "37"),
+             "trials": st.sampled_from(["-1", "0", "1", "40", "1e3", "x"])},
+            {"aspect": values("0.001:1000", "1e-5:1e5", "1:1")
+                       | st.tuples(NUMBERS, NUMBERS).map(":".join),
+             "window": values("1000", "1e6"), "seed": st.sampled_from(["0", "7", "-3"])}),
+    command(["cover", "audit"], {"delta": values("0.25", "1.0", "3")},
+            {"beta": values("0.3", "10"), "k": RANGES, "l": RANGES}),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(COUNTING_ARGV)
+def test_counting_commands_fuzz(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc:
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        result = json.loads(out)["result"]
+        counts = [v for k, v in result.items() if k in ("count", "min_count", "max_count")]
+        counts += [int(k) for k in result.get("histogram", {})]
+        assert counts and min(counts) >= 0
 
 
 def test_output_file(tmp_path):

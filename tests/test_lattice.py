@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goldwave.covering import beta_for_delta, cell
 from goldwave.goldenring import ALPHA_FLOAT, GoldenNumber, fibonacci
 from goldwave.lattice import (
     LatticePoint,
@@ -15,12 +16,12 @@ from goldwave.lattice import (
     audit_min_count,
     count_in_rect,
     count_rects,
-    count_x_translates,
     diophantine_bound_holds,
     diophantine_gap,
     enumerate_in_rect,
     lattice_coords,
 )
+from goldwave.lattice import _anchored_rects
 
 AREA_MIN = 2.0 + ALPHA_FLOAT  # smallest area forcing a point
 AREA_MAX = 1.0 / (3.0 + 2.0 * ALPHA_FLOAT)  # largest area capping at one point
@@ -180,12 +181,55 @@ def test_count_rects_agrees_with_enumeration():
         assert counts[i] == count_in_rect(LatticeSpec(beta=0.7), rect)
 
 
-def test_count_x_translates_agrees():
+def test_count_rects_on_x_translates():
     xs = np.linspace(-40, 40, 500)
-    counts = count_x_translates(0.618, xs, 2.5, 1.0, 2.2)
+    counts = count_rects(0.618, xs, xs + 2.5, np.full(500, 1.0), np.full(500, 2.2))
     for i in range(0, 500, 31):
         rect = Rect(float(xs[i]), float(xs[i] + 2.5), 1.0, 2.2)
         assert counts[i] == count_in_rect(LatticeSpec(beta=0.618), rect)
+
+
+def index_scan_count(rect: Rect) -> int:
+    """Points of Gamma in ``rect`` from an unreduced scan: the box of indices
+    (n, m) = ((x + alpha*s), (s - alpha*x)) / (1 + alpha**2) over the corners,
+    padded by 2, with the same float membership."""
+    corners = [(x, s) for x in (rect.a, rect.b) for s in (rect.c, rect.d)]
+    ns = [(x + ALPHA_FLOAT * s) / (2 - ALPHA_FLOAT) for x, s in corners]
+    ms = [(s - ALPHA_FLOAT * x) / (2 - ALPHA_FLOAT) for x, s in corners]
+    n, m = np.meshgrid(np.arange(math.floor(min(ns)) - 2, math.ceil(max(ns)) + 3),
+                       np.arange(math.floor(min(ms)) - 2, math.ceil(max(ms)) + 3))
+    x, s = lattice_coords(n, m)
+    return int(np.sum((x >= rect.a) & (x < rect.b) & (s >= rect.c) & (s < rect.d)))
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("aspect", [1e3, 1e5])
+def test_count_rects_on_anchored_rects(mode, aspect):
+    # lattice points on (or 1e-9 off) the edges, the audits' adversarial set
+    rng = np.random.default_rng(8)
+    for area in (AREA_MIN, AREA_MAX):
+        a, b, c, d = _anchored_rects(rng, area, 400, (1 / aspect, aspect), mode)
+        counts = count_rects(1.0, a, b, c, d)
+        for i in range(0, 400, 7):
+            rect = Rect(float(a[i]), float(b[i]), float(c[i]), float(d[i]))
+            assert counts[i] == count_in_rect(LatticeSpec(beta=1.0), rect)
+            assert counts[i] == index_scan_count(rect)
+
+
+def test_count_rects_on_extreme_cover_cells():
+    # rows |l| = 30 at delta = 1: cells of aspect ratio ~1e26
+    beta = beta_for_delta(1.0)
+    for l in (-30, 30):
+        rects = [cell(1.0, k, l).rect for k in range(-40, 41)]
+        a, b, c, d = (np.array(v) for v in zip(*(r.edges() for r in rects)))
+        counts = count_rects(beta, a, b, c, d)
+        assert counts.min() >= 1 and counts.max() <= 12
+        assert counts.tolist() == [count_in_rect(LatticeSpec(beta=beta), r) for r in rects]
+
+
+def test_count_rects_empty_batch():
+    counts = count_rects(1.0, *(np.zeros(0) for _ in range(4)))
+    assert counts.dtype == np.int64 and counts.shape == (0,)
 
 
 def test_density():
