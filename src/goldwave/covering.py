@@ -152,8 +152,7 @@ def audit_cover(
         rows.append((width, s_lo, s_hi))
     width, s_lo, s_hi = (np.repeat(v, k_hi - k_lo + 1) for v in np.array(rows).T)
     ks = np.tile(np.arange(k_lo, k_hi + 1), l_hi - l_lo + 1)
-    a = ks * width
-    counts = count_rects(beta, a, a + width, s_lo, s_hi)
+    counts = count_rects(beta, ks * width, (ks + 1) * width, s_lo, s_hi)
     empty = [(k_lo + int(i) % (k_hi - k_lo + 1), l_lo + int(i) // (k_hi - k_lo + 1))
              for i in np.flatnonzero(counts == 0)[:max_empty_recorded]]
     values, freqs = np.unique(counts, return_counts=True)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from .covering import beta_for_delta
 from .lattice import LatticeSpec, Rect, enumerate_in_rect, lattice_coords
@@ -216,7 +215,10 @@ def estimate_bounds(
             f"{npts} sample points cannot frame a {dim}-dimensional band; "
             "the lower bound is structurally zero"
         )
-    # zherk forms the upper triangle of G only: half the work of m.T @ m.conj()
+    # zherk forms the upper triangle of G only: half the work of m.T @ m.conj().
+    # Imported here: loading scipy.linalg would add 0.1 s to every other command.
+    from scipy.linalg.blas import zherk
+
     lam, vecs = np.linalg.eigh(zherk(1.0, m.T), UPLO="U")
     lower, upper = float(lam[0]), float(lam[-1])
     ends = vecs[:, [0, -1]]

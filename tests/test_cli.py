@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldwave
 from goldwave.cli import main
 
 
@@ -90,6 +95,34 @@ def test_wavelet_check():
     assert rc == 0
     assert rep["result"]["constructible"] is False
     assert rep["result"]["passed"] is False
+
+
+_IMPORT_GUARD = """
+import contextlib, io, sys
+import goldwave, goldwave.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert goldwave.cli.main(list(argv)) == 0, argv
+
+run("lattice", "count", "--rect", "0,10,0,10", "--beta", "1")
+run("cover", "audit", "--delta", "0.5", "--k", "-5:5", "--l", "-2:2")
+run("wavelet", "check", "--family", "cauchy", "--order", "6")
+loaded = [m for m in ("scipy.integrate", "scipy.linalg") if m in sys.modules]
+assert not loaded, loaded
+run("frame", "estimate", "--scheme", "golden", "--n", "128")
+assert "scipy.linalg" in sys.modules, "the frame-bound solve did not load zherk"
+"""
+
+
+def test_scipy_loads_only_for_the_frame_bound_solve():
+    # importing scipy costs a fresh process 0.5 s, so only estimate_bounds
+    # loads it, on first use; checked in a fresh interpreter
+    src = str(Path(goldwave.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_frame_estimate_and_rank_deficiency():

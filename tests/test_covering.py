@@ -101,3 +101,22 @@ def test_audit_matches_per_cell_enumeration():
             total += count_in_rect(LatticeSpec(beta=beta), cell(delta, k, l).rect)
     hist_total = sum(int(v) * int(c) for v, c in audit.histogram.items())
     assert total == hist_total
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
+def test_audit_counts_exactly_the_cells(monkeypatch, delta):
+    # the batch gets the edges of cell(delta, k, l) bit for bit, so
+    # neighbouring cells share their seam and the audit tiles exactly
+    import goldwave.covering as covering
+
+    seen = []
+    count_rects = covering.count_rects
+    monkeypatch.setattr(covering, "count_rects",
+                        lambda beta, *edges: seen.append(edges) or count_rects(beta, *edges))
+    ks, ls = range(-500, 501), range(-30, 31)
+    audit_cover(delta, k_range=(-500, 500), l_range=(-30, 30))
+    got = np.column_stack(seen[0])
+    expected = np.array([cell(delta, k, l).rect.edges() for l in ls for k in ks])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    a, b = (e.reshape(len(ls), len(ks)) for e in seen[0][:2])
+    assert np.array_equal(b[:, :-1], a[:, 1:])

@@ -33,6 +33,10 @@ def brute_force(beta: Fraction, rect: Rect, radius: int) -> set:
     For edge e (a float, hence an exact rational) and beta = p/q, membership
     beta*(n - m*alpha) >= e is the sign of the golden integer
     p*e_den*n - q*e_num + (-p*e_den*m)*alpha.
+
+    The box is first screened in float: a pair is skipped only when it lies
+    more than 1e-6 outside the rectangle, far above the ~1e-11 float error
+    of these coordinates, and every pair that is kept gets the exact test.
     """
     p, q = beta.numerator, beta.denominator
     out = set()
@@ -43,14 +47,20 @@ def brute_force(beta: Fraction, rect: Rect, radius: int) -> set:
                          p * e.denominator * num_alpha)
         return v.sign() >= 0
 
-    for n in range(-radius, radius + 1):
-        for m in range(-radius, radius + 1):
-            # x = beta*(n - m*alpha) in [ea, eb), s = beta*(m + n*alpha) in [ec, ed)
-            if not at_least(n, -m, ea) or at_least(n, -m, eb):
-                continue
-            if not at_least(m, n, ec) or at_least(m, n, ed):
-                continue
-            out.add((n, m))
+    box = np.arange(-radius, radius + 1)
+    ns, ms = np.meshgrid(box, box, indexing="ij")
+    x = float(beta) * (ns - ms * ALPHA_FLOAT)
+    s = float(beta) * (ms + ns * ALPHA_FLOAT)
+    tol = 1e-6
+    near = ((x >= rect.a - tol) & (x < rect.b + tol)
+            & (s >= rect.c - tol) & (s < rect.d + tol))
+    for n, m in zip(ns[near].tolist(), ms[near].tolist()):
+        # x = beta*(n - m*alpha) in [ea, eb), s = beta*(m + n*alpha) in [ec, ed)
+        if not at_least(n, -m, ea) or at_least(n, -m, eb):
+            continue
+        if not at_least(m, n, ec) or at_least(m, n, ed):
+            continue
+        out.add((n, m))
     return out
 
 

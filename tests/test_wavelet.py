@@ -23,6 +23,7 @@ from goldwave.wavelet import (
     wavelet_spec,
     _BLOCK_COEFFS,
     _atom_matrix,
+    _simpson,
 )
 
 
@@ -87,6 +88,31 @@ def test_grid_validation():
         LogGrid(xi_min=2.0, xi_max=1.0)
     with pytest.raises(ValueError):
         LogGrid(n=4)
+
+
+@pytest.mark.parametrize("n", [16, 17, 4096, 4097, 8193])
+def test_simpson_matches_scipy(n):
+    from scipy.integrate import simpson
+
+    grid = LogGrid(1e-5, 60.0, n)
+    u = grid.log_points()
+    for y in (np.exp(-(u**2) / 8), np.exp(u - np.exp(u)), np.cos(3 * u) + 2):
+        assert _simpson(y, grid.step) == pytest.approx(simpson(y, x=u), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("w", [cauchy_wavelet(6.0), gaussian_bump_wavelet()],
+                         ids=["cauchy6", "gaussian_bump"])
+def test_quadratures_match_scipy(w):
+    from scipy.integrate import simpson
+
+    u = LogGrid().log_points()
+    expected = simpson(np.abs(w(np.exp(u))) ** 2, x=u)
+    assert admissibility_constant(w) == pytest.approx(expected, rel=1e-13, abs=0)
+    report = decay_condition_report(w)
+    u = report.grid.log_points()
+    xi = np.exp(u)
+    expected = simpson(np.maximum(xi**10, xi**-10.0) * np.abs(w(xi)) ** 2 * xi, x=u)
+    assert report.l2_weighted == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
