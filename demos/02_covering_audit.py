@@ -39,5 +39,5 @@ print()
 print("With a deliberately oversized beta the lattice is too sparse and")
 print("empty cells appear; the audit reports them instead of hiding them:")
 bad = audit_cover(delta, beta=10.0, k_range=(-20, 20), l_range=(-3, 3))
-print(f"  empty cells: {len(bad.empty_cells)} of {bad.cells_checked}, "
+print(f"  empty cells: {bad.histogram.get(0, 0)} of {bad.cells_checked}, "
       f"first few: {bad.empty_cells[:5]}")

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .covering import audit_cover, beta_for_delta
+from .covering import audit_cover
 from .framelab import (
     RankDeficiencyError,
     comparison_to_csv,
@@ -235,13 +235,16 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit(args: argparse.Namespace, report: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
+def _emit(path: str | None, text: str) -> None:
+    """Write a report's text, unchanged, to the file at path or to stdout."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +320,7 @@ def _cmd_cover_audit(args) -> tuple[dict, int]:
         "max_count": audit.max_count,
         "histogram": {str(k): v for k, v in sorted(audit.histogram.items())},
         "empty_cells": [list(c) for c in audit.empty_cells[:100]],
-        "empty_cell_total": len(audit.empty_cells),
+        "empty_cell_total": audit.histogram.get(0, 0),
         "passed": audit.min_count >= 1 and audit.max_count <= 12,
     }, 0
 
@@ -432,30 +435,25 @@ def main(argv: list[str] | None = None) -> int:
             ("frame", "compare"): _cmd_frame_compare,
         }
         result, status = handlers[(args.command, args.subcommand)](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        if args.format == "csv":
+            if (args.command, args.subcommand) != ("frame", "compare"):
+                raise UsageError("--format csv is only available for frame compare")
+            text = comparison_to_csv(result["rows"])
+        else:
+            report = {
+                "schema_version": SCHEMA_VERSION,
+                "command": f"{args.command} {args.subcommand}",
+                "config": _resolved_config(args),
+                "result": _sanitize(result),
+            }
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        _emit(args.output, text)
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except EnumerationCapError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": f"{args.command} {args.subcommand}",
-        "config": _resolved_config(args),
-        "result": _sanitize(result),
-    }
-    if args.format == "csv":
-        if (args.command, args.subcommand) != ("frame", "compare"):
-            print("usage error: --format csv is only available for frame compare",
-                  file=sys.stderr)
-            return 1
-        path = args.output or "/dev/stdout"
-        comparison_to_csv(result["rows"], path)
-    else:
-        _emit(args, report)
     return status
 
 

@@ -106,6 +106,7 @@ class CoverAudit:
     l_range: tuple[int, int]
     min_count: int
     max_count: int
+    # the first 1000 empty cells in (l, k) order; histogram[0] counts them all
     empty_cells: list[tuple[int, int]] = field(default_factory=list)
     cells_checked: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
@@ -116,7 +117,6 @@ def audit_cover(
     beta: float | None = None,
     k_range: tuple[int, int] = (-200, 200),
     l_range: tuple[int, int] = (-20, 20),
-    max_empty_recorded: int = 1000,
 ) -> CoverAudit:
     """Count beta*Gamma points in every cell with k, l in the given closed
     index ranges.  beta defaults to beta_for_delta(delta).
@@ -154,7 +154,7 @@ def audit_cover(
     ks = np.tile(np.arange(k_lo, k_hi + 1), l_hi - l_lo + 1)
     counts = count_rects(beta, ks * width, (ks + 1) * width, s_lo, s_hi)
     empty = [(k_lo + int(i) % (k_hi - k_lo + 1), l_lo + int(i) // (k_hi - k_lo + 1))
-             for i in np.flatnonzero(counts == 0)[:max_empty_recorded]]
+             for i in np.flatnonzero(counts == 0)[:1000]]
     values, freqs = np.unique(counts, return_counts=True)
     return CoverAudit(
         delta=spec.delta,

@@ -12,9 +12,9 @@ Hermitian eigensolve.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "estimate_bounds",
     "compare_schemes",
     "comparison_to_csv",
-    "comparison_to_json",
 ]
 
 
@@ -77,7 +76,6 @@ class FrameEstimate:
     residuals: dict
     restricted_band: tuple[int, int]
     converged: bool
-    npoints: int
 
 
 def golden_sample_set(
@@ -92,15 +90,10 @@ def golden_sample_set(
         raise ValueError("region must lie in the upper half-plane")
     if beta is None:
         beta = beta_for_delta(delta)
+    # enumerate_in_rect lists each index once, sorted by (n, m)
     pts = enumerate_in_rect(LatticeSpec(beta=beta), region)
-    if len(pts):
-        idx = np.array([[p.n, p.m] for p in pts])
-        # dedup on exact lattice indices
-        idx = np.unique(idx, axis=0)
-        x, s = lattice_coords(idx[:, 0], idx[:, 1])
-        coords = np.column_stack([beta * x, beta * s])
-    else:
-        coords = np.zeros((0, 2))
+    x, s = lattice_coords([p.n for p in pts], [p.m for p in pts])
+    coords = np.column_stack([beta * x, beta * s])
     return SampleSet(coords, {"scheme": "golden", "delta": delta, "beta": beta}, region)
 
 
@@ -239,7 +232,6 @@ def estimate_bounds(
         },
         restricted_band=(int(band[0]), int(band[1])),
         converged=residual <= _RESIDUAL_TOL and lower > floor,
-        npoints=npts,
     )
 
 
@@ -272,50 +264,37 @@ def compare_schemes(
     model: SignalModel,
     region: Rect,
     band: tuple[int, int],
-    dyadic_base: float = 2.0 ** 0.25,
 ) -> list[dict]:
     """Golden vs density-matched dyadic frame bounds for each delta.
 
     For every delta the golden set at beta(delta) is built, then a dyadic
-    set with the same region and a point count matched within 2%, and
-    ``estimate_bounds`` is run on both.  Rows are plain dicts ready for CSV
-    or JSON serialization.
+    set of base 2**0.25 with the same region and a point count matched
+    within 2%, and ``estimate_bounds`` is run on both.  Rows are plain dicts
+    ready for CSV or JSON serialization.
     """
     rows = []
     for delta in delta_list:
         golden = golden_sample_set(delta, region)
-        dyadic = _match_dyadic_density(len(golden), dyadic_base, region)
+        dyadic = _match_dyadic_density(len(golden), 2.0**0.25, region)
         for sset in (golden, dyadic):
             prov = sset.provenance
             if prov["scheme"] == "golden":
                 label = f"beta={prov['beta']:.6g}"
             else:
                 label = f"a={prov['a']:.6g},b={prov['b']:.6g}"
+            row = {
+                "delta": float(delta),
+                "scheme": prov["scheme"],
+                "beta_or_ab": label,
+                "points": len(sset),
+            }
             try:
                 est = estimate_bounds(sset, w, model, band)
-                row = {
-                    "delta": float(delta),
-                    "scheme": prov["scheme"],
-                    "beta_or_ab": label,
-                    "points": len(sset),
-                    "A": est.lower,
-                    "B": est.upper,
-                    "ratio": est.ratio,
-                    "converged": est.converged,
-                    "diagnostics": est.residuals,
-                }
+                row.update(A=est.lower, B=est.upper, ratio=est.ratio,
+                           converged=est.converged, diagnostics=est.residuals)
             except RankDeficiencyError as exc:
-                row = {
-                    "delta": float(delta),
-                    "scheme": prov["scheme"],
-                    "beta_or_ab": label,
-                    "points": len(sset),
-                    "A": 0.0,
-                    "B": math.nan,
-                    "ratio": math.inf,
-                    "converged": False,
-                    "diagnostics": {"error": str(exc)},
-                }
+                row.update(A=0.0, B=math.nan, ratio=math.inf,
+                           converged=False, diagnostics={"error": str(exc)})
             rows.append(row)
     return rows
 
@@ -323,12 +302,11 @@ def compare_schemes(
 _CSV_COLUMNS = ["delta", "scheme", "beta_or_ab", "points", "A", "B", "ratio", "converged"]
 
 
-def comparison_to_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def comparison_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, sort_keys=True, indent=2)
+def comparison_to_csv(rows: list[dict]) -> str:
+    """The rows as CSV text: a header, then one line per row, each ended by
+    csv's default CRLF."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()

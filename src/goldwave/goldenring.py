@@ -92,9 +92,8 @@ ZERO = GoldenNumber(0, 0)
 ONE = GoldenNumber(1, 0)
 ALPHA = GoldenNumber(0, 1)
 # (1 + alpha)**2 = 2 + alpha, the minimal rectangle area guaranteeing a
-# lattice point; 3 + 2*alpha appears in the badly-approximable bound.
+# lattice point.
 TWO_PLUS_ALPHA = GoldenNumber(2, 1)
-THREE_PLUS_TWO_ALPHA = GoldenNumber(3, 2)
 
 
 def fibonacci(n: int) -> int:

@@ -48,11 +48,7 @@ __all__ = [
     "audit_max_count",
     "diophantine_gap",
     "diophantine_bound_holds",
-    "DET_FLOAT",
 ]
-
-# det A = 1 + alpha**2 = 2 - alpha
-DET_FLOAT = 2.0 - ALPHA_FLOAT
 
 
 def _alpha_double_double() -> tuple[float, float]:
@@ -197,15 +193,10 @@ class LatticeSpec:
     """
 
     beta: float | Fraction = 1.0
-    restrict_upper_half: bool = False
 
     def __post_init__(self):
         if not 0 < float(self.beta) < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-
-    @property
-    def beta_float(self) -> float:
-        return float(self.beta)
 
     @property
     def beta_fraction(self) -> Fraction | None:
@@ -394,14 +385,12 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> list[LatticePoint]:
     beta_frac = spec.beta_fraction
     exact = rect.exact is not None and beta_frac is not None
     pts = []
-    for _, n, m, keep in _blocks(spec.beta_float, *(np.array([e]) for e in rect.edges())):
+    for _, n, m, keep in _blocks(float(spec.beta), *(np.array([e]) for e in rect.edges())):
         if exact:
             cands = map(LatticePoint, n.ravel().tolist(), m.ravel().tolist())
             pts += [p for p in cands if _exact_member(p, rect, beta_frac)]
         else:
             pts += map(LatticePoint, n[keep].tolist(), m[keep].tolist())
-    if spec.restrict_upper_half:
-        pts = [p for p in pts if p.s.sign() > 0]
     pts.sort(key=lambda p: (p.n, p.m))
     return pts
 

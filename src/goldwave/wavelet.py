@@ -15,7 +15,7 @@ bin are excluded so the model sits inside the analytic signal space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,10 +33,6 @@ __all__ = [
     "atom_spectrum",
     "cwt",
     "cwt_regular",
-    "wavelet_spec",
-    "wavelet_from_spec",
-    "save_signal",
-    "load_signal",
 ]
 
 Profile = Callable[[np.ndarray], np.ndarray]
@@ -57,9 +53,6 @@ class LogGrid:
     def log_points(self) -> np.ndarray:
         return np.linspace(math.log(self.xi_min), math.log(self.xi_max), self.n)
 
-    def points(self) -> np.ndarray:
-        return np.exp(self.log_points())
-
     @property
     def step(self) -> float:
         """The spacing of ``log_points``."""
@@ -73,8 +66,6 @@ class MotherWavelet:
     profile: Profile
     profile_d1: Profile | None = None
     profile_d2: Profile | None = None
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         return self.profile(np.asarray(xi, dtype=float))
@@ -115,7 +106,7 @@ def cauchy_wavelet(p: float, normalize: bool = True) -> MotherWavelet:
         d2 = _restrict_positive(
             lambda xi: c * np.exp(-xi) * xi ** (p - 2) * (p * (p - 1) - 2 * p * xi + xi**2)
         )
-        return MotherWavelet(prof, d1, d2, family="cauchy", params={"p": p, "c": c})
+        return MotherWavelet(prof, d1, d2)
 
     w = base(1.0)
     if not normalize:
@@ -152,9 +143,7 @@ def gaussian_bump_wavelet(center: float = 1.0, width: float = 0.1) -> MotherWave
     d2 = _restrict_positive(
         supported(lambda xi: g0(xi) * (((xi - center) / width**2) ** 2 - 1 / width**2))
     )
-    return MotherWavelet(
-        prof, d1, d2, family="gaussian_bump", params={"center": center, "width": width}
-    )
+    return MotherWavelet(prof, d1, d2)
 
 
 def _simpson(y: np.ndarray, h: float) -> float:
@@ -192,28 +181,17 @@ def admissibility_constant(w: MotherWavelet, grid: LogGrid | None = None) -> flo
 
 
 def normalize_tight(w: MotherWavelet, grid: LogGrid | None = None) -> MotherWavelet:
-    """Rescale the profile so the admissibility constant is 1."""
+    """Rescale the profile and its derivatives so the admissibility
+    constant is 1."""
     c2 = admissibility_constant(w, grid)
     if not (c2 > 0 and math.isfinite(c2)):
         raise ValueError(f"cannot normalize: admissibility constant {c2}")
-    return _rescaled(w, 1.0 / math.sqrt(c2))
-
-
-def _rescaled(w: MotherWavelet, k: float) -> MotherWavelet:
-    """The wavelet with its profile and derivatives multiplied by k."""
+    k = 1.0 / math.sqrt(c2)
 
     def scaled(f: Profile | None) -> Profile | None:
         return None if f is None else (lambda xi: k * f(xi))
 
-    params = dict(w.params)
-    params["c"] = k * params.get("c", 1.0)
-    return replace(
-        w,
-        profile=scaled(w.profile),
-        profile_d1=scaled(w.profile_d1),
-        profile_d2=scaled(w.profile_d2),
-        params=params,
-    )
+    return MotherWavelet(scaled(w.profile), scaled(w.profile_d1), scaled(w.profile_d2))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +247,6 @@ def decay_condition_report(
     w: MotherWavelet,
     grid: LogGrid | None = None,
     threshold: float = 1e-8,
-    tail_fraction: float = 0.01,
 ) -> DecayReport:
     """Check the covering-theorem hypotheses on a truncated grid.
 
@@ -280,7 +257,8 @@ def decay_condition_report(
 
     each of which must vanish at 0 and infinity against the weight
     max(xi**3, xi**-3).  Square-integrability of max(xi**5, xi**-5) * G on
-    the positive axis is checked by quadrature with tail-decay flags.
+    the positive axis is checked by quadrature with tail-decay flags.  The
+    tails are the outer 1% of the grid points at each end (at least 4).
     """
     grid = grid or LogGrid(xi_min=1e-6, xi_max=80.0, n=8193)
     u = grid.log_points()
@@ -292,7 +270,7 @@ def decay_condition_report(
         "c0_decay_order_1": np.abs(xi * d1),
         "c0_decay_order_2": np.abs(xi * d2 - d1),
     }
-    ntail = max(int(tail_fraction * xi.size), 4)
+    ntail = max(int(0.01 * xi.size), 4)
     conditions = []
     for name, q in quantities.items():
         weighted = w3 * q
@@ -475,49 +453,3 @@ def cwt_regular(f: SignalModel, w: MotherWavelet, s: float) -> np.ndarray:
     )
     return np.fft.ifft(buf) * f.length
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def wavelet_spec(w: MotherWavelet) -> dict:
-    """Small key-value document identifying a constructible wavelet."""
-    return {"family": w.family, **{k: v for k, v in w.params.items()}}
-
-
-def wavelet_from_spec(doc: dict) -> MotherWavelet:
-    family = doc.get("family")
-    if family == "cauchy":
-        w = cauchy_wavelet(float(doc["p"]), normalize=False)
-        if "c" in doc:
-            return _rescaled(w, float(doc["c"]))
-        return normalize_tight(w)
-    if family == "gaussian_bump":
-        return gaussian_bump_wavelet(float(doc["center"]), float(doc["width"]))
-    raise ValueError(f"unknown wavelet family {family!r}")
-
-
-def save_signal(model: SignalModel, path: str, fmt: str = "bin") -> None:
-    """Write the coefficient array as (re, im) float64 pairs.
-
-    Binary format: flat little-endian float64, no header, 2 values per
-    coefficient.  CSV format: header ``re,im``, one coefficient per row.
-    """
-    pairs = np.column_stack([model.coeffs.real, model.coeffs.imag])
-    if fmt == "bin":
-        pairs.astype("<f8").tofile(path)
-    elif fmt == "csv":
-        np.savetxt(path, pairs, delimiter=",", header="re,im", comments="")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
-def load_signal(path: str, length: int, duration: float, fmt: str = "bin") -> SignalModel:
-    if fmt == "bin":
-        flat = np.fromfile(path, dtype="<f8")
-        pairs = flat.reshape(-1, 2)
-    elif fmt == "csv":
-        pairs = np.loadtxt(path, delimiter=",", skiprows=1).reshape(-1, 2)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return SignalModel(length, duration, pairs[:, 0] + 1j * pairs[:, 1])

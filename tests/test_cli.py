@@ -86,6 +86,17 @@ def test_cover_audit_pass_and_empty_reporting():
     assert rep["result"]["passed"] is False
 
 
+def test_cover_audit_counts_every_empty_cell():
+    # audit_cover records only the first 1000 empty cells; the total must
+    # still count all of them
+    rc, rep, _ = run_json(["cover", "audit", "--delta", "1.0", "--beta", "3.0",
+                           "--k", "-200:200", "--l", "-5:5"])
+    assert rc == 0
+    result = rep["result"]
+    assert result["empty_cell_total"] == result["histogram"]["0"] > 1000
+    assert len(result["empty_cells"]) == 100
+
+
 def test_wavelet_check():
     rc, rep, _ = run_json(["wavelet", "check", "--family", "cauchy", "--order", "6"])
     assert rc == 0
@@ -138,14 +149,30 @@ def test_frame_estimate_and_rank_deficiency():
 
 
 def test_frame_compare_csv(tmp_path):
+    args = ["frame", "compare", "--deltas", "0.5", "--n", "1024", "--duration", "1024",
+            "--smax", "0.1", "--format", "csv"]
     out = tmp_path / "cmp.csv"
-    rc, _, _ = run(["frame", "compare", "--deltas", "0.5", "--n", "1024",
-                    "--duration", "1024", "--smax", "0.1",
-                    "--format", "csv", "--output", str(out)])
-    assert rc == 0
+    rc, stdout, _ = run(args + ["--output", str(out)])
+    assert (rc, stdout) == (0, "")
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "delta,scheme,beta_or_ab,points,A,B,ratio,converged"
     assert len(lines) == 3
+    # without --output the same bytes, csv's \r\n line ends included, go
+    # through sys.stdout
+    rc, stdout, _ = run(args)
+    assert rc == 0
+    assert stdout.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "count", "--rect", "0,1,0,1", "--beta", "1"],
+    ["frame", "compare", "--deltas", "1.0", "--n", "512", "--smax", "0.1", "--format", "csv"],
+], ids=["json", "csv"])
+def test_unwritable_output_is_a_usage_error(tmp_path, argv):
+    rc, out, err = run(argv + ["--output", str(tmp_path / "missing" / "x")])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_csv_rejected_for_non_tables():

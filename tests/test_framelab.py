@@ -296,16 +296,14 @@ def test_phase_space_translation_covariance():
 # comparison
 
 
-def test_compare_schemes_shape_and_density(tmp_path):
+def test_compare_schemes_shape_and_density():
     model, region, band = small_setup()
     rows = compare_schemes([1.0, 0.5], W, model, region, band)
     assert len(rows) == 4
     assert [r["scheme"] for r in rows] == ["golden", "dyadic", "golden", "dyadic"]
     for g, d in zip(rows[::2], rows[1::2]):
         assert abs(d["points"] - g["points"]) / g["points"] <= 0.02
-    out = tmp_path / "cmp.csv"
-    comparison_to_csv(rows, str(out))
-    lines = out.read_text().strip().splitlines()
+    lines = comparison_to_csv(rows).strip().splitlines()
     assert lines[0].startswith("delta,scheme,")
     assert len(lines) == 5
 

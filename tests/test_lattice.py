@@ -21,7 +21,7 @@ from goldwave.lattice import (
     enumerate_in_rect,
     lattice_coords,
 )
-from goldwave.lattice import _anchored_rects
+from goldwave.lattice import _BLOCK, _anchored_rects
 
 AREA_MIN = 2.0 + ALPHA_FLOAT  # smallest area forcing a point
 AREA_MAX = 1.0 / (3.0 + 2.0 * ALPHA_FLOAT)  # largest area capping at one point
@@ -162,6 +162,20 @@ def test_enumeration_matches_brute_force_random():
         if radius > 400:
             continue
         assert got == brute_force(beta, rect, radius)
+
+
+def test_enumeration_lists_each_index_once_in_order():
+    # the set comparisons above would hide a duplicate; golden_sample_set
+    # relies on one entry per index, sorted by (n, m)
+    assert enumerate_in_rect(LatticeSpec(beta=1.0), Rect(0.1, 0.2, 0.1, 0.2)) == []
+    for spec, rect, at_least in (
+        # a 600 x 600 box, checked in several _BLOCK pieces
+        (LatticeSpec(beta=1.0), Rect(-300.0, 300.0, -300.0, 300.0), 2 * _BLOCK),
+        (LatticeSpec(beta=Fraction(1)), Rect.from_exact(-10, 10, -10, 10), 200),
+    ):
+        idx = [(p.n, p.m) for p in enumerate_in_rect(spec, rect)]
+        assert len(idx) > at_least
+        assert all(p < q for p, q in zip(idx, idx[1:]))
 
 
 def test_extreme_aspect_rectangles():

@@ -1,6 +1,4 @@
 import math
-import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -16,11 +14,7 @@ from goldwave.wavelet import (
     cwt_regular,
     decay_condition_report,
     gaussian_bump_wavelet,
-    load_signal,
     normalize_tight,
-    save_signal,
-    wavelet_from_spec,
-    wavelet_spec,
     _BLOCK_COEFFS,
     _atom_matrix,
     _simpson,
@@ -332,28 +326,3 @@ def test_parseval_surrogate_small():
     total = simpson(per_scale * ss, x=u)
     assert total == pytest.approx(f.norm() ** 2, rel=0.02)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_wavelet_spec_roundtrip():
-    for w in (cauchy_wavelet(6.0), cauchy_wavelet(8.0, normalize=False),
-              gaussian_bump_wavelet(2.0, 0.3)):
-        w2 = wavelet_from_spec(wavelet_spec(w))
-        xi = np.linspace(0.01, 40, 500)
-        assert np.allclose(w2(xi), w(xi), atol=1e-14)
-    with pytest.raises(ValueError):
-        wavelet_from_spec({"family": "unknown"})
-
-
-def test_signal_io_roundtrip():
-    rng = np.random.default_rng(7)
-    f = random_signal(rng)
-    for fmt in ("bin", "csv"):
-        path = os.path.join(tempfile.mkdtemp(), "sig." + fmt)
-        save_signal(f, path, fmt)
-        g = load_signal(path, f.length, f.duration, fmt)
-        assert np.array_equal(g.coeffs, f.coeffs)
-    with pytest.raises(ValueError):
-        save_signal(f, "/tmp/x", "xml")
