@@ -26,7 +26,7 @@ from .framelab import (
     guard_band,
 )
 from .goldenring import ALPHA_FLOAT
-from .lattice import EnumerationCapError, LatticeSpec, Rect, enumerate_in_rect
+from .lattice import EnumerationCapError, LatticeSpec, Rect, enumerate_in_rect, lattice_coords
 from .lattice import audit_max_count, audit_min_count
 from .wavelet import (
     SignalModel,
@@ -117,7 +117,6 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--format", choices=["json", "csv"], default=default("json"),
                    help="csv is available for tabular reports only")
     p.add_argument("--config", default=d, help="key = value file; flags override")
-    p.add_argument("-v", "--verbose", action="count", default=default(0))
 
 
 def build_parser() -> _Parser:
@@ -231,7 +230,7 @@ def _load_config(path: str, args: argparse.Namespace, argv: list[str], parser) -
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    skip = {"command", "subcommand", "output", "config", "verbose"}
+    skip = {"command", "subcommand", "output", "config"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -265,9 +264,11 @@ def _cmd_lattice_count(args) -> tuple[dict, int]:
     pts = enumerate_in_rect(LatticeSpec(beta=beta), Rect(a, b, c, d))
     result = {"count": len(pts)}
     if len(pts) <= 100:
+        # the coordinates that decided membership
+        x, s = lattice_coords([p.n for p in pts], [p.m for p in pts])
         result["points"] = [
-            {"n": p.n, "m": p.m, "x": p.x.to_float() * fb, "s": p.s.to_float() * fb}
-            for p in pts
+            {"n": p.n, "m": p.m, "x": px * fb, "s": ps * fb}
+            for p, px, ps in zip(pts, x.tolist(), s.tolist())
         ]
     return result, 0
 
@@ -434,10 +435,10 @@ def main(argv: list[str] | None = None) -> int:
             ("frame", "estimate"): _cmd_frame_estimate,
             ("frame", "compare"): _cmd_frame_compare,
         }
+        if args.format == "csv" and (args.command, args.subcommand) != ("frame", "compare"):
+            raise UsageError("--format csv is only available for frame compare")
         result, status = handlers[(args.command, args.subcommand)](args)
         if args.format == "csv":
-            if (args.command, args.subcommand) != ("frame", "compare"):
-                raise UsageError("--format csv is only available for frame compare")
             text = comparison_to_csv(result["rows"])
         else:
             report = {

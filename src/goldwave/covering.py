@@ -121,10 +121,10 @@ def audit_cover(
     """Count beta*Gamma points in every cell with k, l in the given closed
     index ranges.  beta defaults to beta_for_delta(delta).
 
-    All cells go to ``count_rects`` as one batch, whose reduced bases keep
-    rows at large |l|, with their extreme aspect ratios, as cheap as central
-    rows.  Raises EnumerationCapError for more cells than the enumeration
-    cap, or for a row whose cells leave the double-precision range.
+    All cells go to ``count_rects`` as one batch, whose closed-form reduced
+    bases make rows at large |l|, of extreme aspect ratio, as cheap as
+    central rows.  Raises EnumerationCapError for more cells than the
+    enumeration cap, or for a row whose cells leave the double-precision range.
     """
     spec = CoverSpec(delta)
     if beta is None:

@@ -5,12 +5,12 @@ alpha the inverse golden ratio.  The point with index (n, m) has coordinates
 (n - m*alpha, m + n*alpha), both elements of Z[alpha], so membership in a
 rectangle with rational (or Z[alpha]) edges can be decided exactly.
 
-Counting has one engine.  ``count_rects`` Lagrange-Gauss reduces the
-lattice basis of every rectangle at once, in the frame where the rectangle
-is a square, and takes as candidates the small integer box that the reduced
-basis maps onto a parallelogram covering the rectangle; rectangles with
-equally shaped boxes are checked together.  A rectangle of any aspect ratio
-thus costs about as many candidates as a square of its area.
+Counting has one engine.  ``count_rects`` takes the reduced basis of every
+rectangle, in the frame where it is a square, in closed form from the unit
+phi of Z[phi], and as candidates the small integer box that this basis maps
+onto a parallelogram covering the rectangle; rectangles with equally shaped
+boxes are checked together.  A rectangle of any aspect ratio thus costs
+about as many candidates as a square of its area.
 ``enumerate_in_rect`` lists the points of one rectangle from the same box.
 ``audit_min_count`` / ``audit_max_count`` run randomized plus
 lattice-anchored adversarial ensembles of fixed-area rectangles and report
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .goldenring import ALPHA_FLOAT, GoldenNumber
+from .goldenring import ALPHA_FLOAT, GoldenNumber, fibonacci
 
 __all__ = [
     "Rect",
@@ -225,47 +225,32 @@ class LatticePoint:
 # the counting engine: reduced bases, candidate boxes, membership
 
 
-def _frame(u: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (x*k, s/k) of the lattice vectors with indices u = (n, m),
-    for both basis columns of u at once.  Computed from the integer indices
-    with compensated products, so thin rectangles at huge offsets lose no
-    precision."""
-    x, s = lattice_coords(u[0], u[1])
-    return x * k, s / k
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_MAX_POWER = 75  # F_76 < 2**52 < F_77
+# F_i at position i + 76 for |i| <= 76, with F_{-i} = (-1)**(i+1) * F_i
+_FIB = np.array([fibonacci(abs(i)) * (-1 if i < 0 and i % 2 == 0 else 1)
+                 for i in range(-_MAX_POWER - 1, _MAX_POWER + 2)], dtype=np.int64)
 
 
 def _reduced_bases(k: np.ndarray) -> np.ndarray:
     """Index bases u, shape (2, 2, N), with u[:, 0] and u[:, 1] the index
-    columns (n, m) of a Lagrange-Gauss reduced basis of the lattice in the
-    frame (x*k, s/k), for every factor k at once.
+    columns (n, m) of a reduced basis of the lattice in the frame
+    (x*k, s/k), for every factor k at once.
 
-    With k = sqrt(h/w) that frame turns a w x h rectangle into a square.  The
-    indices are updated exactly in integers below 2**52 and the frame
-    coordinates recomputed from them every step, so no float error
-    accumulates even for aspect ratios of 1e13 and beyond.  A rectangle
-    leaves the loop once its step is 0.
+    With k = sqrt(h/w) that frame turns a w x h rectangle into a square.
+    Multiplication by the unit phi maps Gamma onto itself: the indices
+    V @ (n, m), V = [[1, -1], [-1, 0]], give the point (phi*x, -alpha*s).
+    So the frame at k holds, up to the sign of s, the lattice of the frame
+    at k*phi**-j under V**-j.  The unit basis is reduced (|mu| <= 1/2) for
+    phi**(-1/2) <= k <= phi**(1/2), so V**-j, j = rint(log_phi k), is reduced
+    at k; its entries are F_{1-j}, -F_{-j}, -F_{-j}, F_{-1-j}.
     """
-    w = np.zeros((2, 2, k.size), dtype=np.int64)
-    w[0, 0] = w[1, 1] = 1
-    u = np.empty_like(w)
-    live = np.arange(k.size)
-    for _ in range(128):
-        x, s = _frame(w, k)
-        norm = x * x + s * s
-        w = np.where(norm[1] < norm[0], w[:, ::-1], w)
-        step = np.rint((x[0] * x[1] + s[0] * s[1]) / norm.min(axis=0))
-        done = step == 0
-        if done.any():
-            u[..., live[done]] = w[..., done]
-            keep = ~done
-            live, k, step, w = live[keep], k[keep], step[keep], w[..., keep]
-            if live.size == 0:
-                break
-        if not (np.abs(step * w[:, 0]) + np.abs(w[:, 1]) < _INDEX_LIMIT).all():
-            raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
-        w[:, 1] -= step.astype(np.int64) * w[:, 0]
-    u[..., live] = w
-    return u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.rint(np.log(k) / math.log(_PHI))
+    if not (np.abs(j) <= _MAX_POWER).all():
+        raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
+    t = _MAX_POWER + 1 - j.astype(np.int64)  # the position of F_{-j}
+    return np.array([[_FIB[t + 1], -_FIB[t]], [-_FIB[t], _FIB[t - 1]]])
 
 
 def _boxes(beta: float, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,10 +271,9 @@ def _boxes(beta: float, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # overflow to inf; the checks below turn that into EnumerationCapError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         k = np.sqrt(d - c) / np.sqrt(b - a)
-        # rectangles of one shape (a covering row) share one reduction
-        shapes, inverse = np.unique(k, return_inverse=True)
-        u = _reduced_bases(shapes)[..., inverse]
-        (x0, x1), (s0, s1) = _frame(u, k)
+        u = _reduced_bases(k)
+        x, s = lattice_coords(u[0], u[1])
+        (x0, x1), (s0, s1) = x * k, s / k
         inv = np.array([[s1, -x1], [-s0, x0]]) / (x0 * s1 - x1 * s0)
         # the rectangle's corners in the frame, then in index space
         corners = np.stack([edges[[0, 1, 0, 1]] * (k / beta), edges[[2, 2, 3, 3]] / (k * beta)])
@@ -404,9 +388,9 @@ def count_rects(beta: float, a, b, c, d) -> np.ndarray:
     """Counts of beta*Gamma in the rectangles [a, b) x [c, d), given as 1-D
     arrays of edges, by the float membership of ``enumerate_in_rect``.
 
-    Every rectangle's basis is reduced in one vectorized loop, so each costs
-    about as many candidates as a square of its area, whatever its aspect
-    ratio.
+    Every rectangle's reduced basis is a power of the unit's index matrix,
+    so each costs about as many candidates as a square of its area,
+    whatever its aspect ratio.
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
     counts = np.zeros(a.size, dtype=np.int64)
@@ -533,8 +517,6 @@ def audit_max_count(
 
 # ---------------------------------------------------------------------------
 # Diophantine structure
-
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def diophantine_gap(n: int, m: int) -> float:

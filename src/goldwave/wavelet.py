@@ -168,7 +168,9 @@ def admissibility_constant(w: MotherWavelet, grid: LogGrid | None = None) -> flo
     """
     grid = grid or LogGrid()
     u = grid.log_points()
-    vals = np.abs(w(np.exp(u))) ** 2
+    # a profile beyond the float range gives inf, which normalize_tight rejects
+    with np.errstate(over="ignore"):
+        vals = np.abs(w(np.exp(u))) ** 2
     peak = vals.max()
     if peak == 0.0:
         return 0.0

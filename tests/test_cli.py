@@ -36,6 +36,18 @@ def test_lattice_count_basic():
     assert rep["config"]["beta"] == "1"
 
 
+def test_lattice_count_points_lie_in_the_rect():
+    # the listed x and s are the coordinates that decided membership, so a
+    # thin rectangle at a large offset lists no point past its open edges
+    rect = "24233395795.867126,24233395795.86736,-452225094901.6305,-452225089190.59717"
+    rc, rep, _ = run_json(["lattice", "count", "--rect", rect, "--beta", "1/5"])
+    assert rc == 0
+    a, b, c, d = map(float, rect.split(","))
+    points = rep["result"]["points"]
+    assert len(points) == rep["result"]["count"] > 0
+    assert all(a <= p["x"] < b and c <= p["s"] < d for p in points)
+
+
 def test_lattice_count_rational_beta():
     rc, rep, _ = run_json(["lattice", "count", "--rect", "0,10,0,10", "--beta", "1/2"])
     assert rc == 0
@@ -179,6 +191,11 @@ def test_csv_rejected_for_non_tables():
     rc, _, err = run(["lattice", "count", "--rect", "0,1,0,1", "--beta", "1",
                       "--format", "csv"])
     assert rc == 1
+    # rejected before the handler runs: this enumeration would exit 2
+    rc, out, err = run(["lattice", "count", "--rect", "0,1e9,0,1e9", "--beta", "1",
+                        "--format", "csv"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_reproducibility_byte_identical():
@@ -233,6 +250,10 @@ def test_removed_flags_are_usage_errors():
         assert rc == 1, flag
         assert out == ""
         assert err.count("\n") == 1 and flag in err
+    # -v was parsed and never read; it returns with the stage timers
+    rc, out, err = run(["-v", "lattice", "count", "--rect", "0,1,0,1", "--beta", "1"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_enumeration_cap_exits_2_with_one_line():
@@ -261,6 +282,8 @@ def test_audit_over_cap_exits_2_without_int64_wrap():
     ("cover audit --delta 1 --k 0:1 --l 60:60", 2),
     ("cover audit --delta 1 --k 0:1 --l -2000:-1999", 2),
     ("cover audit --delta inf", 1),
+    # a Cauchy profile beyond the float range, with no numpy RuntimeWarning
+    ("wavelet check --family cauchy --order 400", 1),
 ])
 def test_non_finite_and_unreachable_inputs(argv, status):
     with warnings.catch_warnings():

@@ -21,7 +21,7 @@ from goldwave.lattice import (
     enumerate_in_rect,
     lattice_coords,
 )
-from goldwave.lattice import _BLOCK, _anchored_rects
+from goldwave.lattice import _BLOCK, EnumerationCapError, _anchored_rects, _reduced_bases
 
 AREA_MIN = 2.0 + ALPHA_FLOAT  # smallest area forcing a point
 AREA_MAX = 1.0 / (3.0 + 2.0 * ALPHA_FLOAT)  # largest area capping at one point
@@ -191,6 +191,25 @@ def test_extreme_aspect_rectangles():
     n = count_rects(1.0, np.array([0.0]), np.array([1e8]),
                     np.array([0.25]), np.array([0.25 + 1e-7]))
     assert n[0] == len(pts)
+
+
+def test_reduced_bases_closed_form():
+    # V**-j from the unit phi: a basis (|det| = 1) that is reduced
+    # (|mu| <= 1/2) in the frame (x*k, s/k), over 26 decades of k
+    phi = (1 + math.sqrt(5)) / 2
+    rng = np.random.default_rng(5)
+    k = np.exp(rng.uniform(math.log(1e-13), math.log(1e13), 20000))
+    k = np.concatenate([k, [phi**0.5, phi**-0.5, 1.0]])
+    u = _reduced_bases(k)
+    assert u.shape == (2, 2, k.size) and u.dtype == np.int64
+    assert (np.abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) == 1).all()
+    x, s = lattice_coords(u[0], u[1])
+    x, s = x * k, s / k
+    mu = (x[0] * x[1] + s[0] * s[1]) / (x * x + s * s).min(axis=0)
+    assert np.abs(mu).max() <= 0.5 + 1e-3
+    for bad in (1e20, 0.0, math.inf):
+        with pytest.raises(EnumerationCapError):
+            _reduced_bases(np.array([bad]))
 
 
 def test_count_rects_agrees_with_enumeration():
