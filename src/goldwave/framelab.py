@@ -21,6 +21,7 @@ import numpy as np
 from .covering import beta_for_delta
 from .lattice import LatticeSpec, Rect, enumerate_in_rect, lattice_coords
 from .wavelet import MotherWavelet, SignalModel, _atom_matrix, _row_blocks, cwt
+from .wavelet import _cauchy_cwt, _cauchy_factors
 
 __all__ = [
     "SampleSet",
@@ -135,9 +136,20 @@ def analysis(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> np.ndarray:
 
 
 def frame_operator_apply(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> SignalModel:
-    """S f = sum over sample points of <f, atom> * atom, in the model."""
-    out = np.zeros(f.coeffs.shape, dtype=complex)
+    """S f = sum over sample points of <f, atom> * atom, in the model.
+
+    For a Cauchy wavelet, with u the vector of <f, atom>, the sum is
+    col * ((u * zc).T @ zf) on the (coarse, R) bin grid, exactly, since
+    each atom coefficient is zc[k, q] * zf[k, r] * col[q, r]
+    (``wavelet._cauchy_factors``); no atom matrix is formed.
+    """
     pts = sset.points
+    if w.cauchy_order is not None:
+        factors = zc, zf, col = _cauchy_factors(w, pts, f)
+        u = _cauchy_cwt(factors, f.coeffs)
+        sf = col * ((u[:, None] * zc).T @ zf)
+        return SignalModel(f.length, f.duration, sf.ravel()[: f.coeffs.size])
+    out = np.zeros(f.coeffs.shape, dtype=complex)
     fc = f.coeffs.conj()
     for rows in _row_blocks(pts.shape[0], fc.size):
         atoms = _atom_matrix(w, pts[rows], f)

@@ -10,6 +10,11 @@ Signals live in a finite periodic model: length-N (power of two) signals on
 [0, T), represented by their coefficients on the orthonormal exponentials at
 the strictly positive frequency bins 1 .. N/2 - 1.  Bin 0 and the Nyquist
 bin are excluded so the model sits inside the analytic signal space.
+
+``_atom_matrix`` builds atoms densely, one profile value per point and bin.
+A Cauchy atom, G(xi) = c * xi**p * exp(-xi) times its phase, factors exactly
+over bins split as j = j_c + r (``_cauchy_factors``), so ``cwt`` and the
+frame operator of framelab never form that matrix for it.
 """
 
 from __future__ import annotations
@@ -61,11 +66,14 @@ class LogGrid:
 
 @dataclass(frozen=True)
 class MotherWavelet:
-    """Fourier-domain wavelet profile with optional analytic derivatives."""
+    """Fourier-domain wavelet profile with optional analytic derivatives.
+    ``cauchy_order`` is p when the profile is c * xi**p * exp(-xi); atoms
+    are then used in the factored form of ``_cauchy_factors``."""
 
     profile: Profile
     profile_d1: Profile | None = None
     profile_d2: Profile | None = None
+    cauchy_order: float | None = None
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         return self.profile(np.asarray(xi, dtype=float))
@@ -106,7 +114,7 @@ def cauchy_wavelet(p: float, normalize: bool = True) -> MotherWavelet:
         d2 = _restrict_positive(
             lambda xi: c * np.exp(-xi) * xi ** (p - 2) * (p * (p - 1) - 2 * p * xi + xi**2)
         )
-        return MotherWavelet(prof, d1, d2)
+        return MotherWavelet(prof, d1, d2, p)
 
     w = base(1.0)
     if not normalize:
@@ -126,6 +134,8 @@ def gaussian_bump_wavelet(center: float = 1.0, width: float = 0.1) -> MotherWave
     """
     if center <= 0 or width <= 0:
         raise ValueError("center and width must be positive")
+    if not 0 < 2 * (width * width) < math.inf:
+        raise ValueError(f"width {width}: 2 * width**2 leaves the float range")
 
     def supported(f):
         def g(xi):
@@ -184,7 +194,8 @@ def admissibility_constant(w: MotherWavelet, grid: LogGrid | None = None) -> flo
 
 def normalize_tight(w: MotherWavelet, grid: LogGrid | None = None) -> MotherWavelet:
     """Rescale the profile and its derivatives so the admissibility
-    constant is 1."""
+    constant is 1.  A Cauchy order is kept: a multiple of c * xi**p *
+    exp(-xi) has the same form."""
     c2 = admissibility_constant(w, grid)
     if not (c2 > 0 and math.isfinite(c2)):
         raise ValueError(f"cannot normalize: admissibility constant {c2}")
@@ -193,7 +204,8 @@ def normalize_tight(w: MotherWavelet, grid: LogGrid | None = None) -> MotherWave
     def scaled(f: Profile | None) -> Profile | None:
         return None if f is None else (lambda xi: k * f(xi))
 
-    return MotherWavelet(scaled(w.profile), scaled(w.profile_d1), scaled(w.profile_d2))
+    return MotherWavelet(scaled(w.profile), scaled(w.profile_d1), scaled(w.profile_d2),
+                         w.cauchy_order)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +439,54 @@ def _row_blocks(npts: int, nbins: int):
         yield slice(lo, lo + step)
 
 
+def _cauchy_factors(w: MotherWavelet, points: np.ndarray, model: SignalModel):
+    """The atoms of a Cauchy wavelet at many points, in factored form.
+
+    With bins split as j = j_c + r, j_c = 1 + R*q, R = isqrt(bins), r < R, as
+    in ``_atom_matrix``, and ts = T*s, the atom at point k = (x, s) has the
+    coefficient zc[k, q] * zf[k, r] * col[q, r] on bin j, where
+
+        zc[k, q] = exp(-2*pi*i*x*j_c/T) * G(j_c/ts) / sqrt(ts),
+        zf[k, r] = exp(-2*pi*i*x*r/T - r/ts),     col[q, r] = (1 + r/j_c)**p.
+
+    This is exact, not an expansion: G(j/ts) = c*(j/ts)**p*exp(-j/ts) is
+    G(j_c/ts) * (1 + r/j_c)**p * exp(-r/ts), and the phase splits the same
+    way.  Each factor is good to a few ulps and col is at most R**p, so the
+    rounding stays relative to each coefficient.  The last coarse row may
+    run past bin N/2 - 1; callers pad or drop those slots.
+    """
+    nbins = model.length // 2 - 1
+    fine = math.isqrt(nbins)
+    j_c = 1 + fine * np.arange(-(-nbins // fine))
+    r = np.arange(fine)
+    turns = points[:, 0:1] / model.duration
+    t_coarse = turns * j_c
+    t_coarse -= np.rint(t_coarse)
+    ts = model.duration * points[:, 1:2]
+    zc = np.exp(-2j * np.pi * t_coarse) * (w(j_c / ts) / np.sqrt(ts))
+    zf = np.exp(r * (-2j * np.pi * turns - 1.0 / ts))
+    col = (1.0 + r / j_c[:, None]) ** w.cauchy_order
+    return zc, zf, col
+
+
+def _cauchy_cwt(factors, coeffs: np.ndarray) -> np.ndarray:
+    """<f, atom> for the atoms of ``_cauchy_factors`` and f with these
+    coefficients: the conjugate of rowsum(zc * (zf @ (col * V).T)), V the
+    conjugated coefficients on the (coarse, R) grid, zero-padded."""
+    zc, zf, col = factors
+    v = np.zeros(col.size, dtype=complex)
+    v[: coeffs.size] = coeffs.conj()
+    return (zc * (zf @ (col * v.reshape(col.shape)).T)).sum(axis=1).conj()
+
+
 def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarray:
-    """Wavelet coefficients <f, atom(x, s)> at the given phase-space points."""
+    """Wavelet coefficients <f, atom(x, s)> at the given phase-space points.
+
+    A Cauchy wavelet needs only the factors of ``_cauchy_factors``: one
+    (points x R) by (R x coarse) product, weighted by zc and summed over
+    the row, with no (points x bins) array.  Other wavelets build atom
+    rows in blocks of about _BLOCK_COEFFS coefficients.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return np.zeros(0, dtype=complex)
@@ -436,6 +494,8 @@ def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarr
         raise ValueError("points must be (x, s) pairs")
     if np.any(pts[:, 1] <= 0):
         raise ValueError("all scales must be positive")
+    if w.cauchy_order is not None:
+        return _cauchy_cwt(_cauchy_factors(w, pts, f), f.coeffs)
     out = np.empty(pts.shape[0], dtype=complex)
     fc = f.coeffs.conj()
     for rows in _row_blocks(pts.shape[0], fc.size):

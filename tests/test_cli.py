@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldwave
-from goldwave.cli import main
+from goldwave.cli import build_parser, main
 
 
 def run(args):
@@ -256,6 +256,15 @@ def test_removed_flags_are_usage_errors():
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def test_parser_is_shared_and_unchanged_by_an_error():
+    good = ["lattice", "count", "--rect", "-0.5,0.5,-0.5,0.5", "--beta", "1", "--seed", "3"]
+    alone = run(good)
+    assert run(["lattice", "count", "--rect", "0,1,0,1", "--bogus"])[0] == 1
+    assert run(["lattice", "audit", "--mode", "mid", "--area", "1"])[0] == 1
+    assert run(good) == alone
+    assert build_parser() is build_parser()
+
+
 def test_enumeration_cap_exits_2_with_one_line():
     rc, out, err = run(["lattice", "count", "--rect", "0,1e9,0,1e9", "--beta", "1"])
     assert rc == 2
@@ -284,6 +293,11 @@ def test_audit_over_cap_exits_2_without_int64_wrap():
     ("cover audit --delta inf", 1),
     # a Cauchy profile beyond the float range, with no numpy RuntimeWarning
     ("wavelet check --family cauchy --order 400", 1),
+    # bump widths whose squares leave the float range, with no OverflowError
+    # traceback and no numpy RuntimeWarning
+    ("wavelet check --family gaussian_bump --width 1e300", 1),
+    ("wavelet check --family gaussian_bump --center 1e200 --width 1e200", 1),
+    ("wavelet check --family gaussian_bump --width 1e-300", 1),
 ])
 def test_non_finite_and_unreachable_inputs(argv, status):
     with warnings.catch_warnings():

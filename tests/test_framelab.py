@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import goldwave.framelab
+import goldwave.wavelet
 from goldwave.covering import beta_for_delta
 from goldwave.framelab import (
     RankDeficiencyError,
@@ -20,7 +22,17 @@ from goldwave.framelab import (
 )
 from goldwave.goldenring import ALPHA_FLOAT
 from goldwave.lattice import LatticeSpec, Rect, count_in_rect
-from goldwave.wavelet import _BLOCK_COEFFS, SignalModel, _atom_matrix, cauchy_wavelet, cwt
+from goldwave.wavelet import (
+    _BLOCK_COEFFS,
+    MotherWavelet,
+    SignalModel,
+    _atom_matrix,
+    _row_blocks,
+    cauchy_wavelet,
+    cwt,
+    gaussian_bump_wavelet,
+    normalize_tight,
+)
 
 
 W = cauchy_wavelet(6.0)
@@ -149,15 +161,76 @@ def test_frame_operator_self_adjoint_positive():
 
 
 def test_frame_operator_blocks_match_one_product():
+    # a Gaussian bump takes the dense path, which sums over blocks of atom rows
+    bump = gaussian_bump_wavelet()
     rng = np.random.default_rng(12)
     model, region, _ = small_setup()
     sset = golden_sample_set(0.7, region)
     assert len(sset) % (_BLOCK_COEFFS // (model.length // 2 - 1)) != 0  # a partial last block
-    atoms = _atom_matrix(W, sset.points, model)
+    atoms = _atom_matrix(bump, sset.points, model)
     f = random_signal(rng, model)
     ref = atoms.T @ (atoms.conj() @ f.coeffs)
-    sf = frame_operator_apply(f, sset, W).coeffs
+    sf = frame_operator_apply(f, sset, bump).coeffs
     assert np.max(np.abs(sf - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, npts", [(64, 40), (1024, 100), (16384, 200)])
+@pytest.mark.parametrize("p", [6.0, 10.0, 25.0])
+@pytest.mark.parametrize("tight", [False, True])
+def test_factored_cauchy_atoms_match_dense(n, npts, p, tight):
+    """cwt and the frame operator of a Cauchy wavelet, which never build
+    atoms, against the dense atom matrix: to 1e-12 of |f| * |atom| per
+    coefficient, and of its sum over the points for S f.  At n = 64 the
+    31 bins leave a partial last coarse row."""
+    w = normalize_tight(cauchy_wavelet(p, normalize=False)) if tight else cauchy_wavelet(p)
+    assert w.cauchy_order == p
+    rng = np.random.default_rng([n, int(p)])
+    t = float(n)
+    model = SignalModel.zeros(n, t)
+    f = random_signal(rng, model)
+    x = np.concatenate([rng.uniform(0.0, t, npts - 2), [0.0, t - 1e-12]])
+    # the profile peaks at xi = p: scales putting it anywhere from bin 1 to bin n/2
+    s = np.exp(rng.uniform(0.0, math.log(n / 2), npts)) / (t * p)
+    sset = SampleSet(np.column_stack([x, s]), {}, Rect(0.0, t, s.min(), s.max() * 2))
+    atoms = _atom_matrix(w, sset.points, model)
+    norms = np.linalg.norm(atoms, axis=1)
+    got = cwt(f, w, sset.points)
+    assert np.all(np.abs(got - atoms.conj() @ f.coeffs) <= 1e-12 * norms * f.norm())
+    sf = frame_operator_apply(f, sset, w).coeffs
+    ref = atoms.T @ (atoms.conj() @ f.coeffs)
+    assert np.all(np.abs(sf - ref) <= 1e-12 * f.norm() * (norms @ np.abs(atoms)))
+
+
+def test_only_cauchy_wavelets_skip_the_atom_matrix(monkeypatch):
+    rng = np.random.default_rng(13)
+    model, region, _ = small_setup()
+    sset = golden_sample_set(0.7, region)
+    f = random_signal(rng, model)
+    # the dense path is the blocked sum it always was, bit for bit
+    bump = gaussian_bump_wavelet()
+    fc = f.coeffs.conj()
+    blocks = [_atom_matrix(bump, sset.points[rows], model)
+              for rows in _row_blocks(len(sset), fc.size)]
+    assert np.array_equal(cwt(f, bump, sset.points),
+                          np.concatenate([a @ fc for a in blocks]).conj())
+    dense_sf = np.zeros(fc.size, dtype=complex)
+    for a in blocks:
+        dense_sf += (a @ fc).conj() @ a
+    assert np.array_equal(frame_operator_apply(f, sset, bump).coeffs, dense_sf)
+
+    def no_atom_matrix(*args, **kwargs):
+        raise AssertionError("atom matrix built")
+
+    monkeypatch.setattr(goldwave.wavelet, "_atom_matrix", no_atom_matrix)
+    monkeypatch.setattr(goldwave.framelab, "_atom_matrix", no_atom_matrix)
+    assert cwt(f, W, sset.points).shape == (len(sset),)
+    assert frame_operator_apply(f, sset, W).coeffs.shape == fc.shape
+    # the family picks the path: the same profile without its order is dense
+    unmarked = MotherWavelet(W.profile, W.profile_d1, W.profile_d2)
+    with pytest.raises(AssertionError, match="atom matrix built"):
+        cwt(f, unmarked, sset.points)
+    with pytest.raises(AssertionError, match="atom matrix built"):
+        frame_operator_apply(f, sset, unmarked)
 
 
 def test_band_matrix_is_the_band_of_the_full_matrix():

@@ -236,7 +236,7 @@ def test_atom_matrix_empty_points():
 
 def test_cwt_blocks_match_one_product():
     rng = np.random.default_rng(11)
-    w = cauchy_wavelet(6.0)
+    w = gaussian_bump_wavelet(1.0, 0.1)  # the dense path, in blocks of atom rows
     f = random_signal(rng)
     npts = 300
     assert npts % (_BLOCK_COEFFS // f.coeffs.size) != 0  # a partial last block
