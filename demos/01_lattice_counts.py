@@ -21,13 +21,14 @@ from goldwave import (
     count_in_rect,
     enumerate_in_rect,
 )
+from goldwave.lattice import lattice_coords
 
 spec = LatticeSpec(beta=1)
 
 print("A small window around the origin:")
-for p in enumerate_in_rect(spec, Rect(-2.0, 2.0, -2.0, 2.0)):
-    print(f"  (n, m) = ({p.n:3d}, {p.m:3d})  ->  "
-          f"(x, s) = ({p.x.to_float():+.6f}, {p.s.to_float():+.6f})")
+idx = enumerate_in_rect(spec, Rect(-2.0, 2.0, -2.0, 2.0))
+for (n, m), x, s in zip(idx.tolist(), *lattice_coords(*idx.T)):
+    print(f"  (n, m) = ({n:3d}, {m:3d})  ->  (x, s) = ({x:+.6f}, {s:+.6f})")
 
 print()
 print("Counts grow with area at rate area / det, det = 2 - alpha:")

@@ -4,7 +4,6 @@ coverings, analytic wavelets, and empirical frame-bound estimation."""
 
 from .goldenring import ALPHA, ALPHA_FLOAT, GoldenNumber
 from .lattice import (
-    LatticePoint,
     LatticeSpec,
     Rect,
     audit_max_count,

@@ -1,9 +1,10 @@
 """Command-line interface: reproducible experiments with JSON/CSV reports.
 
 Exit statuses: 0 success, 1 usage error, 2 numerical failure (rank
-deficiency, a failed residual or resolution check, or an enumeration over
-its cap).  Reports embed the fully resolved configuration and a schema
-version; identical flags and seed produce byte-identical JSON.
+deficiency, a failed residual or resolution check, an enumeration over its
+cap, or a model too large to allocate).  Reports embed the fully resolved
+configuration and a schema version; identical flags and seed produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -266,14 +267,14 @@ def _cmd_lattice_count(args) -> tuple[dict, int]:
         raise UsageError(f"--beta: not a finite number: {args.beta!r}") from None
     if not fb > 0:
         raise UsageError(f"--beta must be a positive float, got {args.beta}")
-    pts = enumerate_in_rect(LatticeSpec(beta=beta), Rect(a, b, c, d))
-    result = {"count": len(pts)}
-    if len(pts) <= 100:
+    idx = enumerate_in_rect(LatticeSpec(beta=beta), Rect(a, b, c, d))
+    result = {"count": len(idx)}
+    if len(idx) <= 100:
         # the coordinates that decided membership
-        x, s = lattice_coords([p.n for p in pts], [p.m for p in pts])
+        x, s = lattice_coords(*idx.T)
         result["points"] = [
-            {"n": p.n, "m": p.m, "x": px * fb, "s": ps * fb}
-            for p, px, ps in zip(pts, x.tolist(), s.tolist())
+            {"n": n, "m": m, "x": px * fb, "s": ps * fb}
+            for (n, m), px, ps in zip(idx.tolist(), x.tolist(), s.tolist())
         ]
     return result, 0
 
@@ -374,8 +375,10 @@ def _frame_setup(args):
     if args.n < 4 or args.n & (args.n - 1):
         raise UsageError(f"--n must be a power of two >= 4, got {args.n}")
     duration = args.duration if args.duration is not None else float(args.n)
-    if not (duration > 0 and args.smax > 0 and args.octaves > 0):
-        raise UsageError("--duration, --smax and --octaves must be positive")
+    # 2.0**octaves overflows from 1024 on
+    if not (duration > 0 and args.smax > 0 and 0 < args.octaves < 1024):
+        raise UsageError("--duration, --smax and --octaves must be positive, "
+                         "--octaves below 1024")
     model = SignalModel.zeros(args.n, duration)
     region = Rect(0.0, duration, args.smax / 2.0**args.octaves, args.smax)
     w = cauchy_wavelet(6.0)
@@ -457,8 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except EnumerationCapError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (EnumerationCapError, MemoryError) as exc:
+        print(f"numerical error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return status
 

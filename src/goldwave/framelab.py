@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import beta_for_delta
-from .lattice import LatticeSpec, Rect, enumerate_in_rect, lattice_coords
+from .lattice import _DEFAULT_CAP, EnumerationCapError, LatticeSpec, Rect
+from .lattice import enumerate_in_rect, lattice_coords
 from .wavelet import MotherWavelet, SignalModel, _atom_matrix, _row_blocks, cwt
 from .wavelet import _cauchy_cwt, _cauchy_factors
 
@@ -49,7 +50,6 @@ class SampleSet:
 
     points: np.ndarray
     provenance: dict
-    region: Rect
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -92,10 +92,9 @@ def golden_sample_set(
     if beta is None:
         beta = beta_for_delta(delta)
     # enumerate_in_rect lists each index once, sorted by (n, m)
-    pts = enumerate_in_rect(LatticeSpec(beta=beta), region)
-    x, s = lattice_coords([p.n for p in pts], [p.m for p in pts])
+    x, s = lattice_coords(*enumerate_in_rect(LatticeSpec(beta=beta), region).T)
     coords = np.column_stack([beta * x, beta * s])
-    return SampleSet(coords, {"scheme": "golden", "delta": delta, "beta": beta}, region)
+    return SampleSet(coords, {"scheme": "golden", "delta": delta, "beta": beta})
 
 
 def _dyadic_rows(a: float, b: float, region: Rect):
@@ -110,8 +109,12 @@ def _dyadic_rows(a: float, b: float, region: Rect):
     if not region.c > 0:
         raise ValueError("region must lie in the upper half-plane")
     log_a = math.log(a)
-    for j in range(math.ceil(math.log(region.c) / log_a) - 1,
-                   math.ceil(math.log(region.d) / log_a) + 1):
+    j_lo = math.ceil(math.log(region.c) / log_a) - 1
+    j_hi = math.ceil(math.log(region.d) / log_a) + 1
+    if j_hi - j_lo > _DEFAULT_CAP:
+        raise EnumerationCapError(
+            f"dyadic scheme of {j_hi - j_lo:.3g} scales exceeds cap {_DEFAULT_CAP}")
+    for j in range(j_lo, j_hi):
         s = a**j
         if region.c <= s < region.d:
             step = b / s
@@ -120,14 +123,18 @@ def _dyadic_rows(a: float, b: float, region: Rect):
 
 def dyadic_sample_set(a: float, b: float, region: Rect) -> SampleSet:
     """The classical scheme {(a**-j * l * b, a**j) : j, l integers} in the
-    region: geometric scales, arithmetic translations refined with scale."""
-    rows = [
+    region: geometric scales, arithmetic translations refined with scale.
+    More scales or points than the enumeration cap raise EnumerationCapError."""
+    rows = list(_dyadic_rows(a, b, region))
+    total = sum(l_hi - l_lo for _, _, l_lo, l_hi in rows)
+    if total > _DEFAULT_CAP:
+        raise EnumerationCapError(
+            f"dyadic scheme of {total:.3g} points exceeds cap {_DEFAULT_CAP}")
+    coords = np.vstack([np.zeros((0, 2))] + [
         np.column_stack([np.arange(l_lo, l_hi) * step, np.full(l_hi - l_lo, s)])
-        for s, step, l_lo, l_hi in _dyadic_rows(a, b, region)
-        if l_hi > l_lo
-    ]
-    coords = np.vstack(rows) if rows else np.zeros((0, 2))
-    return SampleSet(coords, {"scheme": "dyadic", "a": a, "b": b}, region)
+        for s, step, l_lo, l_hi in rows
+    ])
+    return SampleSet(coords, {"scheme": "dyadic", "a": a, "b": b})
 
 
 def analysis(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> np.ndarray:
@@ -171,11 +178,15 @@ def guard_band(
     """
     grid = np.exp(np.linspace(math.log(1e-4), math.log(100.0), 20001))
     xi_peak = float(grid[np.argmax(np.abs(w(grid)))])
-    g = 2.0**guard_octaves
-    xi_lo = region.c * g * xi_peak
-    xi_hi = region.d / g * xi_peak
-    j_lo = max(1, math.ceil(xi_lo * model.duration))
-    j_hi = min(model.length // 2 - 2, math.floor(xi_hi * model.duration))
+    try:
+        g = 2.0**guard_octaves
+        xi_lo = region.c * g * xi_peak
+        xi_hi = region.d / g * xi_peak
+        j_lo = max(1, math.ceil(xi_lo * model.duration))
+        j_hi = min(model.length // 2 - 2, math.floor(xi_hi * model.duration))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"guard margin of {guard_octaves} octaves leaves the float range") from None
     if j_lo > j_hi:
         raise ValueError(
             f"guard margin leaves an empty band (bins {j_lo}..{j_hi}); "

@@ -11,7 +11,8 @@ phi of Z[phi], and as candidates the small integer box that this basis maps
 onto a parallelogram covering the rectangle; rectangles with equally shaped
 boxes are checked together.  A rectangle of any aspect ratio thus costs
 about as many candidates as a square of its area.
-``enumerate_in_rect`` lists the points of one rectangle from the same box.
+``enumerate_in_rect`` lists the indices of one rectangle's points from the
+same box, as one int64 array.
 ``audit_min_count`` / ``audit_max_count`` run randomized plus
 lattice-anchored adversarial ensembles of fixed-area rectangles and report
 the extreme counts with reproducing witnesses.
@@ -38,7 +39,6 @@ from .goldenring import ALPHA_FLOAT, GoldenNumber, fibonacci
 __all__ = [
     "Rect",
     "LatticeSpec",
-    "LatticePoint",
     "CountAudit",
     "EnumerationCapError",
     "enumerate_in_rect",
@@ -121,9 +121,10 @@ def _edge_float(e: ExactEdge) -> float:
 class Rect:
     """Axis-parallel half-open rectangle [a, b) x [c, d).
 
-    ``exact`` optionally carries the edges as exact values (int, Fraction or
-    GoldenNumber), enabling exact membership tests.  The float fields are
-    always populated and are the embedding of the exact edges when present.
+    ``exact`` optionally carries the edges as exact values (int, Fraction,
+    GoldenNumber or a pair (g, q)), enabling exact membership tests; they
+    are stored as (g, q) pairs.  The float fields are always populated and
+    are the embedding of the exact edges when present.
     """
 
     a: float
@@ -134,8 +135,10 @@ class Rect:
 
     def __post_init__(self):
         if self.exact is not None:
-            ea, eb, ec, ed = self.exact
-            if _sub_sign(eb, ea) <= 0 or _sub_sign(ed, ec) <= 0:
+            exact = tuple(map(_as_golden_ratio, self.exact))
+            object.__setattr__(self, "exact", exact)
+            (ga, qa), (gb, qb), (gc, qc), (gd, qd) = exact
+            if (gb * qa - ga * qb).sign() <= 0 or (gd * qc - gc * qd).sign() <= 0:
                 raise ValueError(f"invalid rectangle {self}")
         elif not (self.a < self.b and self.c < self.d):
             raise ValueError(f"invalid rectangle {self}")
@@ -177,13 +180,6 @@ def _as_golden_ratio(e: ExactEdge) -> tuple[GoldenNumber, int]:
     return GoldenNumber(int(e), 0), 1
 
 
-def _sub_sign(x: ExactEdge, y: ExactEdge) -> int:
-    """Exact sign of x - y."""
-    gx, qx = _as_golden_ratio(x)
-    gy, qy = _as_golden_ratio(y)
-    return (gx * qy - gy * qx).sign()
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Isotropically scaled lattice beta * Gamma.
@@ -203,22 +199,6 @@ class LatticeSpec:
         if isinstance(self.beta, (int, Fraction)):
             return Fraction(self.beta)
         return None
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """Lattice point A @ (n, m): coordinates (n - m*alpha, m + n*alpha)."""
-
-    n: int
-    m: int
-
-    @property
-    def x(self) -> GoldenNumber:
-        return GoldenNumber(self.n, -self.m)
-
-    @property
-    def s(self) -> GoldenNumber:
-        return GoldenNumber(self.m, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +320,26 @@ def _blocks(beta: float, a, b, c, d):
             yield o, n, m, keep
 
 
-def _exact_cmp(value: GoldenNumber, edge: ExactEdge, beta: Fraction) -> int:
-    """Exact sign of beta*value - edge, with edge = g/q and beta = p/r:
-    sign(p*q*value - r*g), all denominators positive."""
-    g, q = _as_golden_ratio(edge)
-    return (value * (beta.numerator * q) - g * beta.denominator).sign()
+def _exact_keep(n, m, rect: Rect, beta: Fraction) -> np.ndarray:
+    """Exact membership of the candidates (n, m) in ``rect``, by sign tests:
+    with beta = p/r and an edge g/q, beta*v - g/q has the sign of
+    p*q*v - r*g, all denominators positive."""
+    (ta, ga), (tb, gb), (tc, gc), (td, gd) = (
+        (beta.numerator * q, g * beta.denominator) for g, q in rect.exact)
+
+    def member(i: int, j: int) -> bool:
+        x, s = GoldenNumber(i, -j), GoldenNumber(j, i)
+        return ((x * ta - ga).sign() >= 0 and (x * tb - gb).sign() < 0
+                and (s * tc - gc).sign() >= 0 and (s * td - gd).sign() < 0)
+
+    keep = list(map(member, n.ravel().tolist(), m.ravel().tolist()))
+    return np.array(keep, dtype=bool).reshape(n.shape)
 
 
-def _exact_member(pt: LatticePoint, rect: Rect, beta: Fraction) -> bool:
-    ea, eb, ec, ed = rect.exact  # type: ignore[misc]
-    x, s = pt.x, pt.s
-    return (
-        _exact_cmp(x, ea, beta) >= 0
-        and _exact_cmp(x, eb, beta) < 0
-        and _exact_cmp(s, ec, beta) >= 0
-        and _exact_cmp(s, ed, beta) < 0
-    )
-
-
-def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> list[LatticePoint]:
-    """All points of beta*Gamma inside ``rect``, half-open membership.
+def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
+    """Indices of all points of beta*Gamma inside ``rect``, half-open
+    membership: an int64 array of shape (k, 2), rows (n, m) in
+    lexicographic order.
 
     Candidates come from the rectangle's box (the one-rectangle case of
     ``count_rects``).  Exact sign tests decide membership when the rectangle
@@ -368,15 +348,13 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> list[LatticePoint]:
     """
     beta_frac = spec.beta_fraction
     exact = rect.exact is not None and beta_frac is not None
-    pts = []
+    found = [np.zeros((0, 2), dtype=np.int64)]
     for _, n, m, keep in _blocks(float(spec.beta), *(np.array([e]) for e in rect.edges())):
         if exact:
-            cands = map(LatticePoint, n.ravel().tolist(), m.ravel().tolist())
-            pts += [p for p in cands if _exact_member(p, rect, beta_frac)]
-        else:
-            pts += map(LatticePoint, n[keep].tolist(), m[keep].tolist())
-    pts.sort(key=lambda p: (p.n, p.m))
-    return pts
+            keep = _exact_keep(n, m, rect, beta_frac)
+        found.append(np.column_stack([n[keep], m[keep]]))
+    idx = np.concatenate(found)
+    return idx[np.lexsort((idx[:, 1], idx[:, 0]))]
 
 
 def count_in_rect(spec: LatticeSpec, rect: Rect) -> int:
@@ -465,8 +443,13 @@ def _run_audit(area, trials, seed, aspect_range, center_range, anchor_mode):
         raise ValueError(f"invalid aspect range {aspect_range}")
     if not 0 <= center_range <= _INDEX_LIMIT:
         raise ValueError(f"center range must lie in [0, 2**52], got {center_range}")
-    rng = np.random.default_rng(seed)
     n_sweep = max(trials // 10, 100)
+    # every rectangle costs at least one candidate: refuse before drawing any
+    if trials + n_sweep > _DEFAULT_CAP:
+        raise EnumerationCapError(
+            f"{trials + n_sweep} rectangles exceed the cap {_DEFAULT_CAP} of candidates"
+        )
+    rng = np.random.default_rng(seed)
     # sides beyond the float range come out inf or 0; count_rects rejects them
     with np.errstate(over="ignore", divide="ignore"):
         ra, rb, rc, rd = _random_rects(rng, area, trials, aspect_range, center_range)

@@ -298,6 +298,17 @@ def test_audit_over_cap_exits_2_without_int64_wrap():
     ("wavelet check --family gaussian_bump --width 1e300", 1),
     ("wavelet check --family gaussian_bump --center 1e200 --width 1e200", 1),
     ("wavelet check --family gaussian_bump --width 1e-300", 1),
+    # 2.0**octaves and 2.0**guard beyond the float range
+    ("frame estimate --scheme golden --n 128 --octaves 2000", 1),
+    ("frame compare --deltas 1 --n 128 --guard 2000", 1),
+    ("frame compare --deltas 1 --n 128 --guard -2000", 1),
+    # dyadic scales or points, and audit rectangles, over the cap: refused
+    # before any loop or allocation
+    ("frame estimate --scheme dyadic --n 64 --a 1.0000000001", 2),
+    ("frame estimate --scheme dyadic --n 64 --b 1e-300", 2),
+    ("lattice audit --mode max --area 1 --trials 1000000000", 2),
+    # an 8 PiB model: larger than the address space, so it fails at once
+    (f"frame estimate --scheme golden --n {2**50}", 2),
 ])
 def test_non_finite_and_unreachable_inputs(argv, status):
     with warnings.catch_warnings():
@@ -306,6 +317,7 @@ def test_non_finite_and_unreachable_inputs(argv, status):
     assert rc == status
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("usage error: " if status == 1 else "numerical error: ")
 
 
 # values for any numeric flag: valid, extreme, non-finite and malformed

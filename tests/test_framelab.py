@@ -118,7 +118,7 @@ def test_dyadic_validation():
 
 def test_sample_set_rejects_nonpositive_scales():
     with pytest.raises(ValueError):
-        SampleSet(np.array([[0.0, -1.0]]), {}, Rect(0.0, 1.0, 0.1, 1.0))
+        SampleSet(np.array([[0.0, -1.0]]), {})
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_analysis_matches_cwt():
     f = random_signal(rng, model)
     sset = golden_sample_set(1.0, region)
     assert np.array_equal(analysis(f, sset, W), cwt(f, W, sset.points))
-    empty = SampleSet(np.zeros((0, 2)), {}, region)
+    empty = SampleSet(np.zeros((0, 2)), {})
     assert analysis(f, empty, W).size == 0
 
 
@@ -191,7 +191,7 @@ def test_factored_cauchy_atoms_match_dense(n, npts, p, tight):
     x = np.concatenate([rng.uniform(0.0, t, npts - 2), [0.0, t - 1e-12]])
     # the profile peaks at xi = p: scales putting it anywhere from bin 1 to bin n/2
     s = np.exp(rng.uniform(0.0, math.log(n / 2), npts)) / (t * p)
-    sset = SampleSet(np.column_stack([x, s]), {}, Rect(0.0, t, s.min(), s.max() * 2))
+    sset = SampleSet(np.column_stack([x, s]), {})
     atoms = _atom_matrix(w, sset.points, model)
     norms = np.linalg.norm(atoms, axis=1)
     got = cwt(f, w, sset.points)
@@ -244,10 +244,10 @@ def test_band_matrix_is_the_band_of_the_full_matrix():
 
 
 def test_frame_operator_empty_set_is_zero():
-    model, region, _ = small_setup()
+    model, _, _ = small_setup()
     f = SignalModel(model.length, model.duration,
                     np.ones(model.length // 2 - 1, dtype=complex))
-    out = frame_operator_apply(f, SampleSet(np.zeros((0, 2)), {}, region), W)
+    out = frame_operator_apply(f, SampleSet(np.zeros((0, 2)), {}), W)
     assert np.all(out.coeffs == 0)
 
 
@@ -284,7 +284,7 @@ def test_nested_sets_monotone_bounds():
     model, region, band = small_setup()
     big = golden_sample_set(0.5, region)
     keep = rng.random(len(big)) < 0.7
-    small = SampleSet(big.points[keep], {"scheme": "subset"}, region)
+    small = SampleSet(big.points[keep], {"scheme": "subset"})
     e_small = estimate_bounds(small, W, model, band)
     e_big = estimate_bounds(big, W, model, band)
     tol = 1e-6
@@ -335,9 +335,9 @@ def test_compare_rows_match_dense_svd(n, smax):
 
 def test_repeated_point_is_not_converged():
     # dim copies of one point pass the point-count check but have rank 1
-    model, region, band = small_setup()
+    model, _, band = small_setup()
     dim = band[1] - band[0] + 1
-    sset = SampleSet(np.tile([[100.0, 0.01]], (dim, 1)), {"scheme": "repeated"}, region)
+    sset = SampleSet(np.tile([[100.0, 0.01]], (dim, 1)), {"scheme": "repeated"})
     est = estimate_bounds(sset, W, model, band)
     assert est.upper > 0
     assert est.converged is False
@@ -358,7 +358,7 @@ def test_phase_space_translation_covariance():
     model, region, band = small_setup()
     base = golden_sample_set(0.5, region)
     tau = 64.0
-    shifted = SampleSet(base.points + np.array([tau, 0.0]), {"scheme": "shifted"}, region)
+    shifted = SampleSet(base.points + np.array([tau, 0.0]), {"scheme": "shifted"})
     e0 = estimate_bounds(base, W, model, band)
     e1 = estimate_bounds(shifted, W, model, band)
     assert e0.upper == pytest.approx(e1.upper, rel=1e-6)

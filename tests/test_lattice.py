@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from goldwave.covering import beta_for_delta, cell
 from goldwave.goldenring import ALPHA_FLOAT, GoldenNumber, fibonacci
 from goldwave.lattice import (
-    LatticePoint,
     LatticeSpec,
     Rect,
     audit_max_count,
@@ -25,6 +24,11 @@ from goldwave.lattice import _BLOCK, EnumerationCapError, _anchored_rects, _redu
 
 AREA_MIN = 2.0 + ALPHA_FLOAT  # smallest area forcing a point
 AREA_MAX = 1.0 / (3.0 + 2.0 * ALPHA_FLOAT)  # largest area capping at one point
+
+
+def index_set(idx: np.ndarray) -> set:
+    """The rows (n, m) of an enumeration, as a set of int pairs."""
+    return set(map(tuple, idx.tolist()))
 
 
 def brute_force(beta: Fraction, rect: Rect, radius: int) -> set:
@@ -91,7 +95,7 @@ def test_rect_validation():
 
 def test_origin_rect_contains_origin():
     pts = enumerate_in_rect(LatticeSpec(beta=1), Rect(-0.5, 0.5, -0.5, 0.5))
-    assert [(p.n, p.m) for p in pts] == [(0, 0)]
+    assert pts.tolist() == [[0, 0]]
 
 
 def test_exact_membership_at_irrational_edge():
@@ -102,7 +106,7 @@ def test_exact_membership_at_irrational_edge():
     alpha_plus_eps = (GoldenNumber(1, 10**9), 10**9)  # (1 + 1e9*alpha) / 1e9
     rect = Rect.from_exact(1, 1 + eps, alpha, alpha_plus_eps)
     pts = enumerate_in_rect(LatticeSpec(beta=Fraction(1)), rect)
-    assert [(p.n, p.m) for p in pts] == [(1, 0)]
+    assert pts.tolist() == [[1, 0]]
     # shifted to exclude the closed corner: empty
     rect2 = Rect.from_exact(1 - eps, 1, alpha, alpha_plus_eps)
     assert count_in_rect(LatticeSpec(beta=Fraction(1)), rect2) == 0
@@ -114,7 +118,7 @@ def test_known_count_unit_square_block():
     rect = Rect.from_exact(0, 10, 0, 10)
     pts = enumerate_in_rect(spec, rect)
     assert len(pts) == 73
-    assert {(p.n, p.m) for p in pts} == brute_force(Fraction(1), rect, 25)
+    assert index_set(pts) == brute_force(Fraction(1), rect, 25)
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))
@@ -131,7 +135,7 @@ def test_group_invariance_exact(dn, dm):
     )
     pts0 = enumerate_in_rect(spec, base)
     pts1 = enumerate_in_rect(spec, moved)
-    assert {(p.n + dn, p.m + dm) for p in pts0} == {(p.n, p.m) for p in pts1}
+    assert index_set(pts0 + [dn, dm]) == index_set(pts1)
 
 
 def test_rotation_invariance():
@@ -145,7 +149,7 @@ def test_rotation_invariance():
         pts = enumerate_in_rect(LatticeSpec(beta=1.0), r)
         pts_rot = enumerate_in_rect(LatticeSpec(beta=1.0), rot)
         # boundary coincidences have measure zero for random float edges
-        assert {(-p.m, p.n) for p in pts} == {(q.n, q.m) for q in pts_rot}
+        assert index_set(np.column_stack([-pts[:, 1], pts[:, 0]])) == index_set(pts_rot)
 
 
 def test_enumeration_matches_brute_force_random():
@@ -156,7 +160,7 @@ def test_enumeration_matches_brute_force_random():
         w = float(rng.uniform(0.1, 8))
         h = float(rng.uniform(0.1, 8))
         rect = Rect(cx, cx + w, cy, cy + h)
-        got = {(p.n, p.m) for p in enumerate_in_rect(LatticeSpec(beta=beta), rect)}
+        got = index_set(enumerate_in_rect(LatticeSpec(beta=beta), rect))
         bf = float(beta)
         radius = int((max(abs(cx) + w, abs(cy) + h) / bf) * 1.7 + 5)
         if radius > 400:
@@ -164,18 +168,46 @@ def test_enumeration_matches_brute_force_random():
         assert got == brute_force(beta, rect, radius)
 
 
+def strictly_increasing_rows(idx: np.ndarray) -> bool:
+    step = np.diff(idx, axis=0)
+    return bool(np.all((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] > 0))))
+
+
 def test_enumeration_lists_each_index_once_in_order():
     # the set comparisons above would hide a duplicate; golden_sample_set
     # relies on one entry per index, sorted by (n, m)
-    assert enumerate_in_rect(LatticeSpec(beta=1.0), Rect(0.1, 0.2, 0.1, 0.2)) == []
+    assert enumerate_in_rect(LatticeSpec(beta=1.0), Rect(0.1, 0.2, 0.1, 0.2)).shape == (0, 2)
     for spec, rect, at_least in (
         # a 600 x 600 box, checked in several _BLOCK pieces
         (LatticeSpec(beta=1.0), Rect(-300.0, 300.0, -300.0, 300.0), 2 * _BLOCK),
         (LatticeSpec(beta=Fraction(1)), Rect.from_exact(-10, 10, -10, 10), 200),
     ):
-        idx = [(p.n, p.m) for p in enumerate_in_rect(spec, rect)]
+        idx = enumerate_in_rect(spec, rect)
         assert len(idx) > at_least
-        assert all(p < q for p, q in zip(idx, idx[1:]))
+        assert strictly_increasing_rows(idx)
+
+
+def test_enumeration_is_an_int64_index_array():
+    # float path: one (k, 2) int64 array per rectangle, k as count_rects counts
+    rng = np.random.default_rng(23)
+    a, c = rng.uniform(-40.0, 40.0, (2, 40))
+    w, h = np.exp(rng.uniform(-3.0, 3.0, (2, 40)))
+    counts = count_rects(0.8, a, a + w, c, c + h)
+    assert counts.max() > 1
+    for r in range(a.size):
+        idx = enumerate_in_rect(LatticeSpec(beta=0.8), Rect(a[r], a[r] + w[r], c[r], c[r] + h[r]))
+        assert idx.dtype == np.int64 and idx.shape == (counts[r], 2)
+        assert strictly_increasing_rows(idx)
+    # exact path: rational beta and exact edges, one of them in Z[alpha]
+    tenth = Fraction(1, 10)
+    for beta, rect, k in (
+        (Fraction(3, 4), Rect.from_exact(-7, 9, Fraction(-5, 2), 6), 175),
+        (Fraction(1), Rect.from_exact(-9, 9, GoldenNumber(0, 1), (GoldenNumber(9, 1), 1)), 117),
+        (Fraction(1), Rect.from_exact(tenth, 2 * tenth, tenth, 2 * tenth), 0),
+    ):
+        idx = enumerate_in_rect(LatticeSpec(beta=beta), rect)
+        assert idx.dtype == np.int64 and idx.shape == (k, 2)
+        assert strictly_increasing_rows(idx)
 
 
 def test_extreme_aspect_rectangles():
@@ -183,9 +215,7 @@ def test_extreme_aspect_rectangles():
     spec = LatticeSpec(beta=1.0)
     rect = Rect(0.0, 1e8, 0.25, 0.25 + 1e-7)
     pts = enumerate_in_rect(spec, rect)
-    x, s = lattice_coords(
-        np.array([p.n for p in pts]), np.array([p.m for p in pts])
-    )
+    x, s = lattice_coords(*pts.T)
     assert np.all((x >= 0) & (x < 1e8) & (s >= 0.25) & (s < 0.25 + 1e-7))
     # cross-check against the batch counter
     n = count_rects(1.0, np.array([0.0]), np.array([1e8]),
