@@ -1,10 +1,10 @@
 """Command-line interface: reproducible experiments with JSON/CSV reports.
 
 Exit statuses: 0 success, 1 usage error, 2 numerical failure (rank
-deficiency, a failed residual or resolution check, an enumeration over its
-cap, or a model too large to allocate).  Reports embed the fully resolved
-configuration and a schema version; identical flags and seed produce
-byte-identical JSON.
+deficiency, a failed eigensolve, residual or resolution check, an
+enumeration over its cap, or a model too large to allocate).  Reports
+embed the fully resolved configuration and a schema version; identical
+flags and seed produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 import re
 import sys
 from fractions import Fraction
+
+from numpy.linalg import LinAlgError
 
 from .covering import audit_cover
 from .framelab import (
@@ -457,12 +459,13 @@ def main(argv: list[str] | None = None) -> int:
             }
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         _emit(args.output, text)
+    # first: LinAlgError is a ValueError, but a failed solve is numerical
+    except (EnumerationCapError, LinAlgError, MemoryError) as exc:
+        print(f"numerical error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (EnumerationCapError, MemoryError) as exc:
-        print(f"numerical error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
     return status
 
 

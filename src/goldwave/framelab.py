@@ -22,7 +22,7 @@ from .covering import beta_for_delta
 from .lattice import _DEFAULT_CAP, EnumerationCapError, LatticeSpec, Rect
 from .lattice import enumerate_in_rect, lattice_coords
 from .wavelet import MotherWavelet, SignalModel, _atom_matrix, _row_blocks, cwt
-from .wavelet import _cauchy_cwt, _cauchy_factors
+from .wavelet import _atom_factors, _cauchy_cwt
 
 __all__ = [
     "SampleSet",
@@ -147,12 +147,13 @@ def frame_operator_apply(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> S
 
     For a Cauchy wavelet, with u the vector of <f, atom>, the sum is
     col * ((u * zc).T @ zf) on the (coarse, R) bin grid, exactly, since
-    each atom coefficient is zc[k, q] * zf[k, r] * col[q, r]
-    (``wavelet._cauchy_factors``); no atom matrix is formed.
+    each atom coefficient is zc[k, q] * zf[k, r] * col[q, r] with col
+    shared by all points (``wavelet._atom_factors``); no atom matrix is
+    formed.  Other wavelets sum over blocks of atom rows.
     """
     pts = sset.points
     if w.cauchy_order is not None:
-        factors = zc, zf, col = _cauchy_factors(w, pts, f)
+        factors = zc, zf, col = _atom_factors(w, pts, f)
         u = _cauchy_cwt(factors, f.coeffs)
         sf = col * ((u[:, None] * zc).T @ zf)
         return SignalModel(f.length, f.duration, sf.ravel()[: f.coeffs.size])
@@ -195,15 +196,6 @@ def guard_band(
     return j_lo, j_hi
 
 
-def _band_matrix(
-    sset: SampleSet, w: MotherWavelet, model: SignalModel, band: tuple[int, int]
-) -> np.ndarray:
-    j_lo, j_hi = band
-    if not (1 <= j_lo <= j_hi <= model.length // 2 - 2):
-        raise ValueError(f"band {band} not strictly inside the model bins")
-    return _atom_matrix(w, sset.points, model, band)
-
-
 # largest relative eigen-residual ||G v - lambda v|| / B that counts as solved
 _RESIDUAL_TOL = 1e-10
 
@@ -218,13 +210,16 @@ def estimate_bounds(
 
     A and B are the extreme eigenvalues of the band Gram matrix
     G = M^T conj(M), the frame operator restricted to the band, from one
-    dense Hermitian eigensolve.  The certificate is the larger relative
-    eigen-residual ||G v - lambda v|| / B of the two extreme pairs;
-    ``converged`` holds when it is at most 1e-10 and A is resolved,
-    A > dim * eps * B.  Fewer points than band dimensions raises
+    dense Hermitian eigensolve; M is built from the factors of ``cwt`` and
+    ``frame_operator_apply`` (``wavelet._atom_factors``).  The certificate
+    is the larger relative eigen-residual ||G v - lambda v|| / B of the two
+    extreme pairs; ``converged`` holds when it is at most 1e-10 and A is
+    resolved, A > dim * eps * B.  Fewer points than band dimensions raises
     RankDeficiencyError rather than returning a structurally-zero A.
     """
-    m = _band_matrix(sset, w, model, band)
+    if not 1 <= band[0] <= band[1] <= model.length // 2 - 2:
+        raise ValueError(f"band {band} not strictly inside the model bins")
+    m = _atom_matrix(w, sset.points, model, band)
     npts, dim = m.shape
     if npts < dim:
         raise RankDeficiencyError(
@@ -258,10 +253,9 @@ def estimate_bounds(
     )
 
 
-def _match_dyadic_density(
-    target: int, a: float, region: Rect, rel_tol: float = 0.02
-) -> SampleSet:
-    """Choose the translation step b so the dyadic count matches target."""
+def _match_dyadic_density(target: int, a: float, region: Rect) -> SampleSet:
+    """Choose the translation step b so the dyadic count matches target
+    within 2%."""
     if target <= 0:
         raise ValueError("cannot density-match an empty golden set")
     lo, hi = 1e-6, 1e6  # count is ~monotone decreasing in b
@@ -272,7 +266,7 @@ def _match_dyadic_density(
         err = (count - target) / target
         if abs(err) < best_err:
             best_b, best_err = b, abs(err)
-        if abs(err) <= rel_tol:
+        if abs(err) <= 0.02:
             break
         if count > target:
             lo = b

@@ -212,24 +212,20 @@ _FIB = np.array([fibonacci(abs(i)) * (-1 if i < 0 and i % 2 == 0 else 1)
                  for i in range(-_MAX_POWER - 1, _MAX_POWER + 2)], dtype=np.int64)
 
 
-def _reduced_bases(k: np.ndarray) -> np.ndarray:
-    """Index bases u, shape (2, 2, N), with u[:, 0] and u[:, 1] the index
-    columns (n, m) of a reduced basis of the lattice in the frame
-    (x*k, s/k), for every factor k at once.
+def _reduced_bases(p: np.ndarray) -> np.ndarray:
+    """Index bases u = V**-p, shape (2, 2, N), with u[:, 0] and u[:, 1] the
+    index columns (n, m), for every power p at once.
 
-    With k = sqrt(h/w) that frame turns a w x h rectangle into a square.
     Multiplication by the unit phi maps Gamma onto itself: the indices
     V @ (n, m), V = [[1, -1], [-1, 0]], give the point (phi*x, -alpha*s).
-    So the frame at k holds, up to the sign of s, the lattice of the frame
-    at k*phi**-j under V**-j.  The unit basis is reduced (|mu| <= 1/2) for
-    phi**(-1/2) <= k <= phi**(1/2), so V**-j, j = rint(log_phi k), is reduced
-    at k; its entries are F_{1-j}, -F_{-j}, -F_{-j}, F_{-1-j}.
+    The unit basis is reduced (|mu| <= 1/2) in the frame (x*k, s/k) for
+    phi**(-1/2) <= k <= phi**(1/2), so V**-p is reduced in the frame at
+    k = phi**p, up to the sign of s.  Its entries are F_{1-p}, -F_{-p},
+    -F_{-p}, F_{-1-p}.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j = np.rint(np.log(k) / math.log(_PHI))
-    if not (np.abs(j) <= _MAX_POWER).all():
+    if not (np.abs(p) <= _MAX_POWER).all():
         raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
-    t = _MAX_POWER + 1 - j.astype(np.int64)  # the position of F_{-j}
+    t = _MAX_POWER + 1 - p.astype(np.int64)  # the position of F_{-p}
     return np.array([[_FIB[t + 1], -_FIB[t]], [-_FIB[t], _FIB[t - 1]]])
 
 
@@ -238,11 +234,15 @@ def _boxes(beta: float, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     [a, b) x [c, d): every point of beta*Gamma in rectangle r has indices
     u[..., r] @ (i, j) with lo[:, r] <= (i, j) < lo[:, r] + size[:, r].
 
-    The box bounds the preimage of the rectangle under the reduced basis,
-    widened by a relative tolerance far above float rounding.  All outputs
-    are int64 arrays.  Raises EnumerationCapError when the boxes hold more
-    than the cap of candidates in total or reach indices beyond 2**52,
-    where ``lattice_coords`` stops being exact.
+    u = V**-p, p = rint(log_phi sqrt(h/w)) for a w x h rectangle, maps the
+    point of (i, j) to the point of (i, j) times (phi**-p, (-alpha)**-p).
+    So the box is the integer hull of A**-1 = [[1, alpha], [-alpha, 1]] /
+    (1 + alpha**2) on the corners of [a, b)*phi**p/beta x
+    [c, d)*(-alpha)**p/beta, widened by a relative tolerance far above
+    float rounding.  All outputs are int64 arrays.  Raises
+    EnumerationCapError when the boxes hold more than the cap of candidates
+    in total or reach indices beyond 2**52, where ``lattice_coords`` stops
+    being exact.
     """
     edges = np.stack([a, b, c, d])
     if not (0 < beta < math.inf and np.isfinite(edges).all() and (a < b).all() and (c < d).all()):
@@ -250,14 +250,12 @@ def _boxes(beta: float, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # widths beyond the float range and the huge boxes that go with them
     # overflow to inf; the checks below turn that into EnumerationCapError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        k = np.sqrt(d - c) / np.sqrt(b - a)
-        u = _reduced_bases(k)
-        x, s = lattice_coords(u[0], u[1])
-        (x0, x1), (s0, s1) = x * k, s / k
-        inv = np.array([[s1, -x1], [-s0, x0]]) / (x0 * s1 - x1 * s0)
-        # the rectangle's corners in the frame, then in index space
-        corners = np.stack([edges[[0, 1, 0, 1]] * (k / beta), edges[[2, 2, 3, 3]] / (k * beta)])
-        q = np.einsum("ijr,jcr->icr", inv, corners)
+        p = np.rint(np.log(np.sqrt(d - c) / np.sqrt(b - a)) / math.log(_PHI))
+        u = _reduced_bases(p)
+        phi_p = _PHI**p
+        x = edges[[0, 1, 0, 1]] * (phi_p / beta)
+        s = edges[[2, 2, 3, 3]] * ((1 - 2 * (p % 2)) / (phi_p * beta))  # (-alpha)**p / beta
+        q = np.stack([x + ALPHA_FLOAT * s, s - ALPHA_FLOAT * x]) / (1.0 + ALPHA_FLOAT**2)
         tol = _BOX_TOL * np.abs(q).max(axis=(0, 1))
         lo = np.ceil(q.min(axis=1) - tol)
         size = np.floor(q.max(axis=1) + tol) - lo + 1

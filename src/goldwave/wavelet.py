@@ -11,10 +11,11 @@ Signals live in a finite periodic model: length-N (power of two) signals on
 the strictly positive frequency bins 1 .. N/2 - 1.  Bin 0 and the Nyquist
 bin are excluded so the model sits inside the analytic signal space.
 
-``_atom_matrix`` builds atoms densely, one profile value per point and bin.
-A Cauchy atom, G(xi) = c * xi**p * exp(-xi) times its phase, factors exactly
-over bins split as j = j_c + r (``_cauchy_factors``), so ``cwt`` and the
-frame operator of framelab never form that matrix for it.
+Every atom is built by ``_atom_factors`` over bins split as j = j_c + r: a
+factor per point and coarse bin j_c, one per point and offset r, and a third
+that, for a Cauchy wavelet G(xi) = c * xi**p * exp(-xi), all points share.
+So ``cwt`` and the frame operator of framelab never multiply them out into
+the atom rows of ``_atom_matrix`` for it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class LogGrid:
 class MotherWavelet:
     """Fourier-domain wavelet profile with optional analytic derivatives.
     ``cauchy_order`` is p when the profile is c * xi**p * exp(-xi); atoms
-    are then used in the factored form of ``_cauchy_factors``."""
+    are then used in the factored form of ``_atom_factors``."""
 
     profile: Profile
     profile_d1: Profile | None = None
@@ -80,13 +81,20 @@ class MotherWavelet:
 
 
 def _restrict_positive(f: Callable[[np.ndarray], np.ndarray]) -> Profile:
+    """f on xi > 0, and 0 elsewhere and where f gives nan.  The profiles
+    here give nan only as inf * 0, where a power of xi overflows and
+    exp(-xi) is 0, so never below xi = 700; for Cauchy orders below 97 that
+    is past xi = 1455, where the true value lies below the float range."""
+
     def wrapped(xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        if xi.ndim and xi.size and xi.min() > 0:
+        if xi.ndim and xi.size and xi.min() > 0 and xi.max() < 700.0:
             return f(xi)  # the same values, without the mask, gather and scatter
         out = np.zeros(xi.shape, dtype=float)
         pos = xi > 0
-        out[pos] = f(xi[pos])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[pos] = f(xi[pos])
+        out[np.isnan(out)] = 0.0
         return out
 
     return wrapped
@@ -169,14 +177,14 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return float(total)
 
 
-def admissibility_constant(w: MotherWavelet, grid: LogGrid | None = None) -> float:
+def admissibility_constant(w: MotherWavelet) -> float:
     """The Calderon constant: integral of |G(xi)|**2 / xi over xi > 0.
 
-    Evaluated by Simpson quadrature after the log substitution, where the
-    1/xi weight cancels against the Jacobian.  Raises if the integrand has
-    not decayed at the grid ends (truncation would then be unreliable).
+    Simpson quadrature on ``LogGrid()`` after the log substitution, where
+    the 1/xi weight cancels against the Jacobian.  Raises if the integrand
+    has not decayed at the grid ends (truncation would then be unreliable).
     """
-    grid = grid or LogGrid()
+    grid = LogGrid()
     u = grid.log_points()
     # a profile beyond the float range gives inf, which normalize_tight rejects
     with np.errstate(over="ignore"):
@@ -192,11 +200,11 @@ def admissibility_constant(w: MotherWavelet, grid: LogGrid | None = None) -> flo
     return _simpson(vals, grid.step)
 
 
-def normalize_tight(w: MotherWavelet, grid: LogGrid | None = None) -> MotherWavelet:
+def normalize_tight(w: MotherWavelet) -> MotherWavelet:
     """Rescale the profile and its derivatives so the admissibility
     constant is 1.  A Cauchy order is kept: a multiple of c * xi**p *
     exp(-xi) has the same form."""
-    c2 = admissibility_constant(w, grid)
+    c2 = admissibility_constant(w)
     if not (c2 > 0 and math.isfinite(c2)):
         raise ValueError(f"cannot normalize: admissibility constant {c2}")
     k = 1.0 / math.sqrt(c2)
@@ -338,18 +346,16 @@ class SignalModel:
         return cls(length, duration, np.zeros(length // 2 - 1, dtype=complex))
 
     @classmethod
-    def from_time_samples(
-        cls, samples: np.ndarray, duration: float, leak_tol: float = 1e-9
-    ) -> SignalModel:
+    def from_time_samples(cls, samples: np.ndarray, duration: float) -> SignalModel:
         """Project time samples onto the model; rejects signals with more
-        than ``leak_tol`` of their energy at bin 0, the Nyquist bin, or
-        negative frequencies."""
+        than 1e-9 of their energy at bin 0, the Nyquist bin, or negative
+        frequencies."""
         samples = np.asarray(samples, dtype=complex)
         n = samples.size
         spec = np.fft.fft(samples) / math.sqrt(n)
         total = float(np.sum(np.abs(spec) ** 2))
         inside = float(np.sum(np.abs(spec[1 : n // 2]) ** 2))
-        if total > 0 and (total - inside) > leak_tol * total:
+        if total > 0 and (total - inside) > 1e-9 * total:
             raise ValueError(
                 "signal has energy outside the strictly positive frequency band"
             )
@@ -394,6 +400,46 @@ def atom_spectrum(
     )
 
 
+def _atom_factors(
+    w: MotherWavelet,
+    points: np.ndarray,
+    model: SignalModel,
+    band: tuple[int, int] | None = None,
+):
+    """The atoms at many phase-space points on the bins j_lo .. j_hi of
+    ``band`` (inclusive; all model bins by default), in factored form.
+
+    With bins split as j = j_c + r, j_c = j_lo + R*q, R = isqrt(bins), r < R,
+    and ts = T*s, the atom at point k = (x, s) has the coefficient
+    zc[k, q] * zf[k, r] * col[..., q, r] on bin j.  zc and zf hold the
+    phases exp(-2*pi*i*x*j_c/T), x*j_c/T reduced to within half a turn, and
+    exp(-2*pi*i*x*r/T); col[k, q, r] holds the amplitude G(j/ts) / sqrt(ts).
+    A Cauchy wavelet, G(xi) = c*xi**p*exp(-xi), has exactly G(j/ts) =
+    G(j_c/ts) * (1 + r/j_c)**p * exp(-r/ts): zc and zf take the outer two
+    factors and 1/sqrt(ts), and col[q, r] = (1 + r/j_c)**p is shared by all
+    points.  Each factor is good to a few ulps and col is at most R**p, so
+    the rounding stays relative to each coefficient.  The last coarse row
+    may run past j_hi; callers pad or drop those slots.
+    """
+    j_lo, j_hi = (1, model.length // 2 - 1) if band is None else band
+    nbins = j_hi - j_lo + 1
+    fine = math.isqrt(nbins)
+    j_c = j_lo + fine * np.arange(-(-nbins // fine))
+    r = np.arange(fine)
+    turns = points[:, 0:1] / model.duration
+    t_coarse = turns * j_c
+    t_coarse -= np.rint(t_coarse)
+    zc = np.exp(-2j * np.pi * t_coarse)
+    spin = -2j * np.pi * turns
+    ts = model.duration * points[:, 1:2]
+    if w.cauchy_order is None:
+        col = w((j_c[:, None] + r).ravel() / ts)
+        col /= np.sqrt(ts)
+        return zc, np.exp(spin * r), col.reshape(len(points), j_c.size, fine)
+    zc *= w(j_c / ts) / np.sqrt(ts)
+    return zc, np.exp(r * (spin - 1.0 / ts)), (1.0 + r / j_c[:, None]) ** w.cauchy_order
+
+
 def _atom_matrix(
     w: MotherWavelet,
     points: np.ndarray,
@@ -401,28 +447,14 @@ def _atom_matrix(
     band: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """Stacked atom coefficient rows for many phase-space points, on the bins
-    j_lo .. j_hi of ``band`` (inclusive; all model bins by default).
-
-    The phase at bin j = j_lo + R*q + r, R = isqrt(bins), is the product of
-    exp(-2*pi*i*x*(j_lo + R*q)/T) and exp(-2*pi*i*x*r/T): about 2*sqrt(bins)
-    complex exponentials per point, on phases reduced to within half a turn.
-    """
-    j_lo, j_hi = (1, model.length // 2 - 1) if band is None else band
-    nbins = j_hi - j_lo + 1
-    fine = math.isqrt(nbins)
-    coarse = -(-nbins // fine)
-    turns = points[:, 0:1] / model.duration
-    t_coarse = turns * (j_lo + fine * np.arange(coarse))
-    t_coarse -= np.rint(t_coarse)
-    spin = -2j * np.pi
-    phase = (
-        np.exp(spin * t_coarse)[:, :, None]
-        * np.exp(spin * turns * np.arange(fine))[:, None, :]
-    )
-    ts = model.duration * points[:, 1:2]
-    amp = w(np.arange(j_lo, j_hi + 1) / ts)
-    amp /= np.sqrt(ts)
-    return phase.reshape(-1, coarse * fine)[:, :nbins] * amp
+    j_lo .. j_hi of ``band`` (inclusive; all model bins by default): the
+    product of the factors of ``_atom_factors``, cut to the band."""
+    zc, zf, col = _atom_factors(w, points, model, band)
+    nbins = model.length // 2 - 1 if band is None else band[1] - band[0] + 1
+    width = zc.shape[1] * zf.shape[1]
+    phase = (zc[:, :, None] * zf[:, None, :]).reshape(-1, width)[:, :nbins]
+    # cut to the band before the last product, so the rows come out contiguous
+    return phase * col.reshape(col.shape[:-2] + (width,))[..., :nbins]
 
 
 # Atom rows are built in blocks of about this many coefficients (512 KB), so
@@ -439,38 +471,8 @@ def _row_blocks(npts: int, nbins: int):
         yield slice(lo, lo + step)
 
 
-def _cauchy_factors(w: MotherWavelet, points: np.ndarray, model: SignalModel):
-    """The atoms of a Cauchy wavelet at many points, in factored form.
-
-    With bins split as j = j_c + r, j_c = 1 + R*q, R = isqrt(bins), r < R, as
-    in ``_atom_matrix``, and ts = T*s, the atom at point k = (x, s) has the
-    coefficient zc[k, q] * zf[k, r] * col[q, r] on bin j, where
-
-        zc[k, q] = exp(-2*pi*i*x*j_c/T) * G(j_c/ts) / sqrt(ts),
-        zf[k, r] = exp(-2*pi*i*x*r/T - r/ts),     col[q, r] = (1 + r/j_c)**p.
-
-    This is exact, not an expansion: G(j/ts) = c*(j/ts)**p*exp(-j/ts) is
-    G(j_c/ts) * (1 + r/j_c)**p * exp(-r/ts), and the phase splits the same
-    way.  Each factor is good to a few ulps and col is at most R**p, so the
-    rounding stays relative to each coefficient.  The last coarse row may
-    run past bin N/2 - 1; callers pad or drop those slots.
-    """
-    nbins = model.length // 2 - 1
-    fine = math.isqrt(nbins)
-    j_c = 1 + fine * np.arange(-(-nbins // fine))
-    r = np.arange(fine)
-    turns = points[:, 0:1] / model.duration
-    t_coarse = turns * j_c
-    t_coarse -= np.rint(t_coarse)
-    ts = model.duration * points[:, 1:2]
-    zc = np.exp(-2j * np.pi * t_coarse) * (w(j_c / ts) / np.sqrt(ts))
-    zf = np.exp(r * (-2j * np.pi * turns - 1.0 / ts))
-    col = (1.0 + r / j_c[:, None]) ** w.cauchy_order
-    return zc, zf, col
-
-
 def _cauchy_cwt(factors, coeffs: np.ndarray) -> np.ndarray:
-    """<f, atom> for the atoms of ``_cauchy_factors`` and f with these
+    """<f, atom> for the Cauchy atoms of ``_atom_factors`` and f with these
     coefficients: the conjugate of rowsum(zc * (zf @ (col * V).T)), V the
     conjugated coefficients on the (coarse, R) grid, zero-padded."""
     zc, zf, col = factors
@@ -482,7 +484,7 @@ def _cauchy_cwt(factors, coeffs: np.ndarray) -> np.ndarray:
 def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarray:
     """Wavelet coefficients <f, atom(x, s)> at the given phase-space points.
 
-    A Cauchy wavelet needs only the factors of ``_cauchy_factors``: one
+    A Cauchy wavelet needs only the factors of ``_atom_factors``: one
     (points x R) by (R x coarse) product, weighted by zc and summed over
     the row, with no (points x bins) array.  Other wavelets build atom
     rows in blocks of about _BLOCK_COEFFS coefficients.
@@ -495,7 +497,7 @@ def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarr
     if np.any(pts[:, 1] <= 0):
         raise ValueError("all scales must be positive")
     if w.cauchy_order is not None:
-        return _cauchy_cwt(_cauchy_factors(w, pts, f), f.coeffs)
+        return _cauchy_cwt(_atom_factors(w, pts, f), f.coeffs)
     out = np.empty(pts.shape[0], dtype=complex)
     fc = f.coeffs.conj()
     for rows in _row_blocks(pts.shape[0], fc.size):

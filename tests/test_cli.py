@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,6 +319,28 @@ def test_non_finite_and_unreachable_inputs(argv, status):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("usage error: " if status == 1 else "numerical error: ")
+
+
+def test_frame_scales_far_below_the_band_are_not_an_error():
+    # 1023 octaves put most dyadic atoms where the Cauchy profile's power of
+    # xi overflows; those atoms are 0, with no numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, rep, err = run_json("frame estimate --scheme dyadic --n 128 --octaves 1023".split())
+    assert (rc, err) == (0, "")
+    assert rep["result"]["points"] == 1023
+    assert rep["result"]["converged"] is True
+
+
+def test_failed_eigensolve_is_a_numerical_error(monkeypatch):
+    # numpy's LinAlgError is a ValueError, but no usage error
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    rc, out, err = run("frame estimate --scheme golden --n 128".split())
+    assert (rc, out) == (2, "")
+    assert err == "numerical error: Eigenvalues did not converge\n"
 
 
 # values for any numeric flag: valid, extreme, non-finite and malformed

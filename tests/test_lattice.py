@@ -227,10 +227,15 @@ def test_reduced_bases_closed_form():
     # V**-j from the unit phi: a basis (|det| = 1) that is reduced
     # (|mu| <= 1/2) in the frame (x*k, s/k), over 26 decades of k
     phi = (1 + math.sqrt(5)) / 2
+
+    def power(k):  # j = rint(log_phi k), as _boxes takes it
+        with np.errstate(divide="ignore"):
+            return np.rint(np.log(k) / math.log(phi))
+
     rng = np.random.default_rng(5)
     k = np.exp(rng.uniform(math.log(1e-13), math.log(1e13), 20000))
     k = np.concatenate([k, [phi**0.5, phi**-0.5, 1.0]])
-    u = _reduced_bases(k)
+    u = _reduced_bases(power(k))
     assert u.shape == (2, 2, k.size) and u.dtype == np.int64
     assert (np.abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) == 1).all()
     x, s = lattice_coords(u[0], u[1])
@@ -239,7 +244,7 @@ def test_reduced_bases_closed_form():
     assert np.abs(mu).max() <= 0.5 + 1e-3
     for bad in (1e20, 0.0, math.inf):
         with pytest.raises(EnumerationCapError):
-            _reduced_bases(np.array([bad]))
+            _reduced_bases(power(np.array([bad])))
 
 
 def test_count_rects_agrees_with_enumeration():

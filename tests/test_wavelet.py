@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,24 @@ def test_from_time_samples_rejects_leakage():
     real_cosine = np.cos(2 * np.pi * 5 * t / n)  # negative-frequency energy
     with pytest.raises(ValueError):
         SignalModel.from_time_samples(real_cosine, 16.0)
+
+
+def test_cauchy_profile_is_zero_where_its_power_overflows():
+    # xi**p overflows and exp(-xi) underflows: the true value is below the
+    # float range, so 0 with no warning instead of inf * 0 = nan
+    p, c = 6.0, 1.0
+    w = cauchy_wavelet(p, normalize=False)
+    xi = np.array([1e60, 1e300, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (w.profile, w.profile_d1, w.profile_d2):
+            assert np.array_equal(f(xi), np.zeros(3))
+    # elsewhere the values are the plain formulas, bit for bit
+    xi = np.exp(np.linspace(math.log(1e-6), math.log(700.0), 2001))
+    assert np.array_equal(w(xi), c * xi**p * np.exp(-xi))
+    assert np.array_equal(w.profile_d1(xi), c * np.exp(-xi) * xi ** (p - 1) * (p - xi))
+    assert np.array_equal(w.profile_d2(xi), c * np.exp(-xi) * xi ** (p - 2)
+                          * (p * (p - 1) - 2 * p * xi + xi**2))
 
 
 # ---------------------------------------------------------------------------
