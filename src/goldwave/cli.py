@@ -339,6 +339,8 @@ def _cmd_wavelet_check(args) -> tuple[dict, int]:
         try:
             w = cauchy_wavelet(args.order, normalize=False)
         except ValueError as exc:
+            if args.order >= 6:  # past the order rule: no finite admissibility constant
+                raise
             return {
                 "family": args.family,
                 "order": args.order,

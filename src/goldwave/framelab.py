@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .covering import beta_for_delta
 from .lattice import _DEFAULT_CAP, EnumerationCapError, LatticeSpec, Rect
 from .lattice import enumerate_in_rect, lattice_coords
 from .wavelet import MotherWavelet, SignalModel, _atom_matrix, _row_blocks, cwt
-from .wavelet import _atom_factors, _cauchy_cwt
+from .wavelet import _atom_factors, _cauchy_cwt, _read_only
 
 __all__ = [
     "SampleSet",
@@ -46,16 +46,33 @@ class RankDeficiencyError(Exception):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Finite set of phase-space points with construction provenance."""
+    """Finite set of phase-space points with construction provenance.
+
+    ``points`` is a read-only copy of the array passed in, so the set keeps
+    the factored Cauchy atoms of its points (``wavelet._atom_factors``) after
+    their first use, for every later signal: one entry, keyed by the wavelet
+    and the model's length and duration, that a new key replaces.  It holds
+    points * (coarse + R) complex values, R = isqrt(N/2 - 1): about 44 MB at
+    N = T = 16384 and 14,964 points, where atom rows would take 2 GB.
+    """
 
     points: np.ndarray
     provenance: dict
+    _cauchy: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        pts = np.array(self.points, dtype=float).reshape(-1, 2)
         if pts.size and np.any(pts[:, 1] <= 0):
             raise ValueError("all scales must be positive")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _read_only(pts))
+
+    def _cauchy_factors(self, w: MotherWavelet, model: SignalModel):
+        """The Cauchy atom factors (zc, zf, col) at the points, built once."""
+        key, entry = (w, model.length, model.duration), self._cauchy
+        if entry is None or entry[0] != key:  # a local entry: right under threads too
+            entry = key, tuple(map(_read_only, _atom_factors(w, self.points, model)))
+            object.__setattr__(self, "_cauchy", entry)
+        return entry[1]
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -138,7 +155,9 @@ def dyadic_sample_set(a: float, b: float, region: Rect) -> SampleSet:
 
 
 def analysis(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> np.ndarray:
-    """Wavelet coefficients of f at the sample points, in point order."""
+    """``cwt`` of f at the sample points, from their cached Cauchy factors."""
+    if w.cauchy_order is not None:
+        return _cauchy_cwt(sset._cauchy_factors(w, f), f.coeffs)
     return cwt(f, w, sset.points)
 
 
@@ -148,12 +167,12 @@ def frame_operator_apply(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> S
     For a Cauchy wavelet, with u the vector of <f, atom>, the sum is
     col * ((u * zc).T @ zf) on the (coarse, R) bin grid, exactly, since
     each atom coefficient is zc[k, q] * zf[k, r] * col[q, r] with col
-    shared by all points (``wavelet._atom_factors``); no atom matrix is
-    formed.  Other wavelets sum over blocks of atom rows.
+    shared by all points (``wavelet._atom_factors``, cached on the set); no
+    atom matrix is formed.  Other wavelets sum over blocks of atom rows.
     """
     pts = sset.points
     if w.cauchy_order is not None:
-        factors = zc, zf, col = _atom_factors(w, pts, f)
+        factors = zc, zf, col = sset._cauchy_factors(w, f)
         u = _cauchy_cwt(factors, f.coeffs)
         sf = col * ((u[:, None] * zc).T @ zf)
         return SignalModel(f.length, f.duration, sf.ravel()[: f.coeffs.size])

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -83,8 +84,8 @@ class MotherWavelet:
 def _restrict_positive(f: Callable[[np.ndarray], np.ndarray]) -> Profile:
     """f on xi > 0, and 0 elsewhere and where f gives nan.  The profiles
     here give nan only as inf * 0, where a power of xi overflows and
-    exp(-xi) is 0, so never below xi = 700; for Cauchy orders below 97 that
-    is past xi = 1455, where the true value lies below the float range."""
+    exp(-xi) is 0, so never below xi = 700; for Cauchy orders (all below 27)
+    that is past xi = 1455, where the true value lies below the float range."""
 
     def wrapped(xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -107,7 +108,8 @@ def cauchy_wavelet(p: float, normalize: bool = True) -> MotherWavelet:
     covering-based frame guarantee need the profile and its first two
     derivatives to vanish faster than the fourth power at the origin, which
     fails for p < 6 (the weighted profile xi**(p-5) * exp(-xi) no longer
-    tends to zero).
+    tends to zero).  So are orders, normalized or not, whose admissibility
+    constant is not finite and positive: all from about 27 on.
     """
     if p < 6:
         raise ValueError(
@@ -125,10 +127,10 @@ def cauchy_wavelet(p: float, normalize: bool = True) -> MotherWavelet:
         return MotherWavelet(prof, d1, d2, p)
 
     w = base(1.0)
-    if not normalize:
-        return w
-    c = 1.0 / math.sqrt(admissibility_constant(w))
-    return base(c)
+    c2 = admissibility_constant(w)
+    if not (c2 > 0 and math.isfinite(c2)):
+        raise ValueError(f"cauchy order {p}: admissibility constant {c2}")
+    return base(1.0 / math.sqrt(c2)) if normalize else w
 
 
 def gaussian_bump_wavelet(center: float = 1.0, width: float = 0.1) -> MotherWavelet:
@@ -317,6 +319,11 @@ def decay_condition_report(
 # finite signal model
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SignalModel:
     """Length-N periodic signal on [0, T) with strictly positive frequencies.
@@ -367,13 +374,13 @@ class SignalModel:
         buf[1 : self.length // 2] = self.coeffs
         return np.fft.ifft(buf) * math.sqrt(self.length)
 
-    @property
+    @cached_property
     def bins(self) -> np.ndarray:
-        return np.arange(1, self.length // 2)
+        return _read_only(np.arange(1, self.length // 2))
 
-    @property
+    @cached_property
     def freqs(self) -> np.ndarray:
-        return self.bins / self.duration
+        return _read_only(self.bins / self.duration)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -515,5 +522,5 @@ def cwt_regular(f: SignalModel, w: MotherWavelet, s: float) -> np.ndarray:
     buf[1 : f.length // 2] = (
         f.coeffs * np.conj(w(f.freqs / s)) / math.sqrt(f.duration * s)
     )
-    return np.fft.ifft(buf) * f.length
+    return np.fft.ifft(buf, norm="forward")
 

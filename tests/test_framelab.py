@@ -269,6 +269,73 @@ def test_frame_operator_empty_set_is_zero():
 
 
 # ---------------------------------------------------------------------------
+# the cached Cauchy factors of a sample set
+
+
+def test_cached_factors_give_the_uncached_values():
+    rng = np.random.default_rng(15)
+    model, region, _ = small_setup()
+    sset = golden_sample_set(0.35, region)
+    for _ in range(3):
+        f = random_signal(rng, model)
+        fresh = golden_sample_set(0.35, region)
+        u = analysis(f, sset, W)
+        assert np.array_equal(u, cwt(f, W, sset.points))
+        assert np.array_equal(u, analysis(f, fresh, W))
+        assert np.array_equal(frame_operator_apply(f, sset, W).coeffs,
+                              frame_operator_apply(f, golden_sample_set(0.35, region), W).coeffs)
+    empty = SampleSet(np.zeros((0, 2)), {})
+    for _ in range(2):  # built, then cached
+        u = analysis(f, empty, W)
+        assert u.dtype == complex and u.size == 0
+        assert np.all(frame_operator_apply(f, empty, W).coeffs == 0)
+
+
+def test_sample_set_builds_its_factors_once_per_key(monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args[1:])
+        return goldwave.wavelet._atom_factors(*args)
+
+    monkeypatch.setattr(goldwave.framelab, "_atom_factors", counted)
+    rng = np.random.default_rng(16)
+    model, region, _ = small_setup()
+    sset = golden_sample_set(0.7, region)
+    for i in range(10):
+        f = random_signal(rng, model)
+        (analysis if i % 2 else frame_operator_apply)(f, sset, W)
+    assert len(builds) == 1
+    # another wavelet, length or duration: one more build each, right answers
+    w10 = cauchy_wavelet(10.0)
+    short = SignalModel.zeros(512, model.duration)
+    longer = SignalModel.zeros(model.length, 2 * model.duration)
+    for w, m in ((w10, model), (W, short), (W, longer), (W, model)):
+        f = random_signal(rng, m)
+        for _ in range(2):  # built, then cached
+            assert np.array_equal(analysis(f, sset, w), cwt(f, w, sset.points))
+    assert len(builds) == 5  # one slot: going back to the first key rebuilds
+    # dense wavelets never fill the cache
+    bump_set = golden_sample_set(0.7, region)
+    analysis(f, bump_set, gaussian_bump_wavelet())
+    frame_operator_apply(f, bump_set, gaussian_bump_wavelet())
+    assert len(builds) == 5 and bump_set._cauchy is None
+
+
+def test_sample_set_points_are_a_read_only_copy():
+    pts = np.array([[1.0, 0.01], [2.0, 0.02]])
+    sset = SampleSet(pts, {})
+    with pytest.raises(ValueError):
+        sset.points[0, 0] = 1.0
+    pts[0, 0] = 5.0  # the caller's array stays writable, and apart
+    assert sset.points[0, 0] == 1.0
+    model, _, _ = small_setup()
+    analysis(random_signal(np.random.default_rng(17), model), sset, W)
+    for factor in sset._cauchy[1]:
+        assert not factor.flags.writeable
+
+
+# ---------------------------------------------------------------------------
 # bound estimation
 
 

@@ -195,6 +195,22 @@ def test_cauchy_profile_is_zero_where_its_power_overflows():
                           * (p * (p - 1) - 2 * p * xi + xi**2))
 
 
+def test_cauchy_rejects_orders_without_a_finite_constant():
+    with pytest.raises(ValueError, match="admissibility constant inf"):
+        cauchy_wavelet(120.0)  # the constant overflows; c would be 1/sqrt(inf) = 0
+    with pytest.raises(ValueError, match="not decayed"):
+        cauchy_wavelet(100.0, normalize=False)
+
+
+@pytest.mark.parametrize("p", [6.0, 10.0, 25.0])
+def test_cauchy_profiles_are_the_plain_formulas(p):
+    xi = np.exp(np.linspace(math.log(1e-6), math.log(700.0), 2001))
+    c = 1.0 / math.sqrt(admissibility_constant(cauchy_wavelet(p, normalize=False)))
+    for w, k in ((cauchy_wavelet(p, normalize=False), 1.0), (cauchy_wavelet(p), c)):
+        assert np.array_equal(w(xi), k * xi**p * np.exp(-xi))
+        assert np.array_equal(w.profile_d1(xi), k * np.exp(-xi) * xi ** (p - 1) * (p - xi))
+
+
 # ---------------------------------------------------------------------------
 # transform
 
@@ -283,6 +299,24 @@ def test_cwt_regular_matches_direct():
     xs = np.arange(f.length) * f.duration / f.length
     direct = cwt(f, w, np.column_stack([xs, np.full(f.length, s)]))
     assert np.max(np.abs(reg - direct)) < 1e-10
+
+
+def test_cwt_regular_is_the_scaled_inverse_fft_bit_for_bit():
+    rng = np.random.default_rng(14)
+    w = cauchy_wavelet(6.0)
+    f = random_signal(rng, n=1024, t=1024.0)
+    xi = np.arange(1, f.length // 2) / f.duration
+    for s in np.geomspace(0.1 / 2**6, 0.1, 256):
+        buf = np.zeros(f.length, dtype=complex)
+        buf[1 : f.length // 2] = f.coeffs * np.conj(w(xi / s)) / math.sqrt(f.duration * s)
+        assert np.array_equal(cwt_regular(f, w, s), np.fft.ifft(buf) * f.length)
+    # the model's bins and frequencies are built once, read-only
+    assert f.freqs is f.freqs and f.bins is f.bins
+    assert np.array_equal(f.freqs, xi)
+    with pytest.raises(ValueError):
+        f.freqs[0] = 0.0
+    with pytest.raises(ValueError):
+        f.bins[0] = 0
 
 
 def test_translation_covariance():
