@@ -62,6 +62,8 @@ class SampleSet:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float).reshape(-1, 2)
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         if pts.size and np.any(pts[:, 1] <= 0):
             raise ValueError("all scales must be positive")
         object.__setattr__(self, "points", _read_only(pts))

@@ -16,12 +16,17 @@ factor per point and coarse bin j_c, one per point and offset r, and a third
 that, for a Cauchy wavelet G(xi) = c * xi**p * exp(-xi), all points share.
 So ``cwt`` and the frame operator of framelab never multiply them out into
 the atom rows of ``_atom_matrix`` for it.
+
+``cwt_regular`` takes one scale row as one inverse FFT of the coefficients
+times the window conj(G(freqs / s)), which the wavelet keeps (see
+``MotherWavelet``): a sweep of many signals over the same scales builds
+each window once, and its rows are the same bits as without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -43,6 +48,10 @@ __all__ = [
 ]
 
 Profile = Callable[[np.ndarray], np.ndarray]
+
+# Floats of cwt_regular windows a wavelet keeps, 16 MiB: 2,050 scales on
+# 1,023 bins.  Past it, windows are built on every call.
+_WINDOW_FLOATS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -70,15 +79,36 @@ class LogGrid:
 class MotherWavelet:
     """Fourier-domain wavelet profile with optional analytic derivatives.
     ``cauchy_order`` is p when the profile is c * xi**p * exp(-xi); atoms
-    are then used in the factored form of ``_atom_factors``."""
+    are then used in the factored form of ``_atom_factors``.
+
+    The wavelet keeps the read-only ``cwt_regular`` window of each scale it
+    is asked for, keyed by the scale, for one model grid (length, duration)
+    at a time: a new grid replaces them.  They hold at most _WINDOW_FLOATS
+    floats; past that, windows are built and not kept.  Equality and hash
+    ignore them."""
 
     profile: Profile
     profile_d1: Profile | None = None
     profile_d2: Profile | None = None
     cauchy_order: float | None = None
+    _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         return self.profile(np.asarray(xi, dtype=float))
+
+    def _window(self, model: SignalModel, s: float) -> np.ndarray:
+        """conj(G(freqs / s)) on the model's bins, built once per scale."""
+        grid = (model.length, model.duration)
+        rows = self._windows.get(grid)
+        if rows is None:  # one grid at a time; a local dict, right under threads too
+            rows = {}
+            object.__setattr__(self, "_windows", {grid: rows})
+        window = rows.get(s)
+        if window is None:
+            window = _read_only(np.conj(self(model.freqs / s)))
+            if (len(rows) + 1) * (window.nbytes // 8) <= _WINDOW_FLOATS:
+                rows[s] = window
+        return window
 
 
 def _restrict_positive(f: Callable[[np.ndarray], np.ndarray]) -> Profile:
@@ -341,8 +371,8 @@ class SignalModel:
         n = self.length
         if n < 4 or n & (n - 1):
             raise ValueError(f"length must be a power of two >= 4, got {n}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (n // 2 - 1,):
             raise ValueError(f"expected {n // 2 - 1} coefficients, got {c.shape}")
@@ -395,8 +425,10 @@ def atom_spectrum(
     """Coefficients of the atom at (x, s) on the model's frequency bins:
     (T*s)**-0.5 * G(xi_j / s) * exp(-2*pi*i*x*xi_j), with x*xi_j reduced to
     within half a turn before the exponential."""
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {s}")
+    if not math.isfinite(x):
+        raise ValueError(f"position must be finite, got {x}")
     xi = model.freqs
     turns = x * xi
     turns -= np.rint(turns)
@@ -501,6 +533,8 @@ def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarr
         return np.zeros(0, dtype=complex)
     if pts.shape[1] != 2:
         raise ValueError("points must be (x, s) pairs")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if np.any(pts[:, 1] <= 0):
         raise ValueError("all scales must be positive")
     if w.cauchy_order is not None:
@@ -514,13 +548,14 @@ def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarr
 
 def cwt_regular(f: SignalModel, w: MotherWavelet, s: float) -> np.ndarray:
     """Wavelet coefficients at one scale on the regular grid x_r = r*T/N,
-    via a single inverse FFT; identical to ``cwt`` at those points up to
-    rounding."""
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {s}")
+    via a single inverse FFT of coeffs * conj(G(freqs / s)) / sqrt(T*s);
+    identical to ``cwt`` at those points up to rounding.  The window
+    conj(G(freqs / s)) is the one ``w`` keeps for the grid and scale."""
+    if not 0 < s < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {s}")
+    s = float(s)
     buf = np.zeros(f.length, dtype=complex)
-    buf[1 : f.length // 2] = (
-        f.coeffs * np.conj(w(f.freqs / s)) / math.sqrt(f.duration * s)
-    )
-    return np.fft.ifft(buf, norm="forward")
-
+    row = buf[1 : f.length // 2]
+    np.multiply(f.coeffs, w._window(f, s), out=row)
+    row /= math.sqrt(f.duration * s)
+    return np.fft.ifft(buf, norm="forward", out=buf)

@@ -131,6 +131,10 @@ def test_dyadic_validation():
 def test_sample_set_rejects_nonpositive_scales():
     with pytest.raises(ValueError):
         SampleSet(np.array([[0.0, -1.0]]), {})
+    for bad in (np.nan, np.inf, -np.inf):
+        for point in ([bad, 1.0], [0.0, bad]):
+            with pytest.raises(ValueError):
+                SampleSet(np.array([point]), {})
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from goldwave.framelab import SampleSet, analysis
 from goldwave.wavelet import (
     LogGrid,
     MotherWavelet,
@@ -17,6 +18,7 @@ from goldwave.wavelet import (
     gaussian_bump_wavelet,
     normalize_tight,
     _BLOCK_COEFFS,
+    _WINDOW_FLOATS,
     _atom_matrix,
     _simpson,
 )
@@ -157,6 +159,9 @@ def test_signal_model_validation():
         SignalModel(64, -1.0, np.zeros(31, dtype=complex))
     with pytest.raises(ValueError):
         SignalModel(64, 1.0, np.zeros(30, dtype=complex))  # wrong length
+    for duration in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SignalModel.zeros(64, duration)
 
 
 def test_time_roundtrip_and_norm():
@@ -362,6 +367,83 @@ def test_cwt_input_validation():
     with pytest.raises(ValueError):
         atom_spectrum(w, 0.0, 0.0, f)
     assert cwt(f, w, []).size == 0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cwt(f, w, [(bad, 1.0)])
+        with pytest.raises(ValueError):
+            cwt(f, w, [(0.0, bad)])
+        with pytest.raises(ValueError):
+            atom_spectrum(w, bad, 1.0, f)
+        with pytest.raises(ValueError):
+            atom_spectrum(w, 0.0, bad, f)
+        with pytest.raises(ValueError):
+            cwt_regular(f, w, bad)
+    assert w._windows == {}  # a rejected scale leaves no window behind
+
+
+def uncached_row(f, w, s):
+    """``cwt_regular`` by its formula, with a window built on every call."""
+    buf = np.zeros(f.length, dtype=complex)
+    buf[1 : f.length // 2] = f.coeffs * np.conj(w(f.freqs / s)) / math.sqrt(f.duration * s)
+    return np.fft.ifft(buf, norm="forward")
+
+
+def test_cwt_regular_keeps_one_window_per_scale_and_grid():
+    rng = np.random.default_rng(18)
+    w6, w7 = cauchy_wavelet(6.0), cauchy_wavelet(7.0)
+    scales = np.geomspace(0.1 / 2**6, 0.1, 64)
+    f = random_signal(rng, n=1024, t=1024.0)
+    for _ in range(3):  # built, then kept: the same rows every sweep
+        for s in scales:
+            assert np.array_equal(cwt_regular(f, w6, s), uncached_row(f, w6, s))
+    kept = w6._windows[(1024, 1024.0)]
+    assert list(w6._windows) == [(1024, 1024.0)] and len(kept) == scales.size
+    assert all(not v.flags.writeable for v in kept.values())
+    # a second signal on the grid reads the same windows
+    g = random_signal(rng, n=1024, t=1024.0)
+    windows = {s: kept[s] for s in scales}
+    for s in scales:
+        assert np.array_equal(cwt_regular(g, w6, s), uncached_row(g, w6, s))
+        assert w6._windows[(1024, 1024.0)][s] is windows[s]
+    # another wavelet keeps its own windows
+    for s in scales[:5]:
+        assert np.array_equal(cwt_regular(f, w7, s), uncached_row(f, w7, s))
+    assert len(w7._windows[(1024, 1024.0)]) == 5 and len(kept) == scales.size
+    assert not np.array_equal(w7._windows[(1024, 1024.0)][scales[0]], kept[scales[0]])
+    # a new grid, here a new duration, replaces the windows
+    h = random_signal(rng, n=1024, t=512.0)
+    assert np.array_equal(cwt_regular(h, w6, scales[0]), uncached_row(h, w6, scales[0]))
+    assert list(w6._windows) == [(1024, 512.0)] and len(w6._windows[(1024, 512.0)]) == 1
+
+
+def test_cwt_regular_keeps_windows_within_the_float_budget():
+    rng = np.random.default_rng(19)
+    w = cauchy_wavelet(6.0)
+    f = random_signal(rng, n=8192, t=8192.0)
+    scales = np.geomspace(1e-3, 0.2, 4 * _WINDOW_FLOATS // (f.length // 2) + 1)
+    for s in scales:  # twice the windows the budget holds
+        assert np.array_equal(cwt_regular(f, w, s), uncached_row(f, w, s))
+    kept = w._windows[(f.length, f.duration)]
+    assert 0 < sum(v.nbytes for v in kept.values()) <= 8 * _WINDOW_FLOATS
+    assert len(kept) < scales.size
+    s = scales[-1]  # past the budget: built on each call, with the same bits
+    assert s not in kept and np.array_equal(cwt_regular(f, w, s), uncached_row(f, w, s))
+
+
+def test_kept_windows_leave_equality_hash_and_sample_set_keys_alone():
+    w = cauchy_wavelet(6.0)
+    twin = MotherWavelet(w.profile, w.profile_d1, w.profile_d2, w.cauchy_order)
+    f = random_signal(np.random.default_rng(20), n=1024, t=1024.0)
+    sset = SampleSet(np.array([[1.0, 0.01], [200.0, 0.05]]), {})
+    u = analysis(f, sset, w)
+    factors = sset._cauchy_factors(w, f)
+    for s in (0.01, 0.02):
+        cwt_regular(f, twin, s)
+    assert w._windows == {} and len(twin._windows[(1024, 1024.0)]) == 2
+    assert twin == w and hash(twin) == hash(w) and "_windows" not in repr(twin)
+    # the sample set's entry, keyed by w, serves the twin with its windows
+    assert sset._cauchy_factors(twin, f) is factors
+    assert np.array_equal(analysis(f, sset, twin), u)
 
 
 def test_parseval_surrogate_small():
