@@ -2,7 +2,8 @@
 
 Exit statuses: 0 success, 1 usage error, 2 numerical failure (rank
 deficiency, a failed eigensolve, residual or resolution check, an
-enumeration over its cap, or a model too large to allocate).  Reports
+enumeration over its cap, an audit rectangle side that rounds to 0 or
+overflows, or a model too large to allocate).  Reports
 embed the fully resolved configuration and a schema version; identical
 flags and seed produce byte-identical JSON.
 """
@@ -462,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         _emit(args.output, text)
     # first: LinAlgError is a ValueError, but a failed solve is numerical
-    except (EnumerationCapError, LinAlgError, MemoryError) as exc:
+    except (EnumerationCapError, FloatingPointError, LinAlgError, MemoryError) as exc:
         print(f"numerical error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:

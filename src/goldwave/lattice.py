@@ -9,7 +9,7 @@ Counting has one engine.  ``count_rects`` takes the reduced basis of every
 rectangle, in the frame where it is a square, in closed form from the unit
 phi of Z[phi], and as candidates the small integer box that this basis maps
 onto a parallelogram covering the rectangle; rectangles with equally shaped
-boxes are checked together.  A rectangle of any aspect ratio thus costs
+boxes, found by one stable sort, are checked together.  A rectangle of any aspect ratio thus costs
 about as many candidates as a square of its area.
 ``enumerate_in_rect`` lists the indices of one rectangle's points from the
 same box, as one int64 array.
@@ -17,10 +17,16 @@ same box, as one int64 array.
 lattice-anchored adversarial ensembles of fixed-area rectangles and report
 the extreme counts with reproducing witnesses.
 
-Boundary policy: membership at half-open edges uses exact sign tests when the
-rectangle edges and beta are rational or Z[alpha]-valued; otherwise IEEE
-comparisons, with no epsilon, of the compensated float64 coordinates of
-``lattice_coords``.  Randomized audits draw edges from continuous
+Boundary policy: a float filter decides most candidates.  It compares each
+candidate's plain float coordinates, taken in the reduced frame of its box,
+with the edges moved in and out by a margin M of at least three times the
+proven error of those coordinates (see ``_blocks``): a candidate inside
+every moved-in edge is in, one beyond a moved-out edge is out.  Only the
+few within M of an edge go to one of two deciders: exact sign tests in
+Z[alpha] when the rectangle edges and beta are rational or Z[alpha]-valued,
+otherwise IEEE comparisons, with no epsilon, of the compensated float64
+coordinates of ``lattice_coords``.  So every candidate gets the answer its
+decider would give.  Randomized audits draw edges from continuous
 distributions, so float ties occur with probability zero.  Indices stay
 below 2**52, where those coordinates are exact; a rectangle that needs
 larger ones, or more candidates than the cap, raises EnumerationCapError.
@@ -51,17 +57,11 @@ __all__ = [
 ]
 
 
-def _alpha_double_double() -> tuple[float, float]:
-    """alpha as an unevaluated double-double sum hi + lo, |lo| ~ 1e-17."""
-    bits = 200
-    root = math.isqrt(5 << (2 * bits))  # floor(sqrt(5) * 2**bits)
-    fix = (root - (1 << bits)) // 2  # floor(alpha * 2**bits)
-    hi = float(Fraction(fix, 1 << bits))
-    lo = float(Fraction(fix, 1 << bits) - Fraction(hi))
-    return hi, lo
-
-
-_ALPHA_HI, _ALPHA_LO = _alpha_double_double()
+# floor(alpha * 2**200) / 2**200, from floor(sqrt(5) * 2**200)
+_ALPHA_200 = Fraction((math.isqrt(5 << 400) - (1 << 200)) // 2, 1 << 200)
+# alpha as an unevaluated double-double sum hi + lo, |lo| ~ 1e-17
+_ALPHA_HI = float(_ALPHA_200)
+_ALPHA_LO = float(_ALPHA_200 - Fraction(_ALPHA_HI))
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
@@ -210,6 +210,28 @@ _MAX_POWER = 75  # F_76 < 2**52 < F_77
 # F_i at position i + 76 for |i| <= 76, with F_{-i} = (-1)**(i+1) * F_i
 _FIB = np.array([fibonacci(abs(i)) * (-1 if i < 0 and i % 2 == 0 else 1)
                  for i in range(-_MAX_POWER - 1, _MAX_POWER + 2)], dtype=np.int64)
+# tables over the powers p, |p| <= 75, at the position p + 75: the index
+# basis V**-p, with entries F_{1-p}, -F_{-p}, -F_{-p}, F_{-1-p}; phi**p and
+# (-1)**p for the boxes; the largest row sum of |V**-p|, which bounds the
+# indices of a box; and phi**-p and (-phi)**p, the scales of V**-p in x and
+# in s, correctly rounded from alpha to 200 bits
+_POWERS = np.arange(-_MAX_POWER, _MAX_POWER + 1)
+_T = _MAX_POWER + 1 - _POWERS  # the position of F_{-p} in _FIB
+_BASES = np.array([[_FIB[_T + 1], -_FIB[_T]], [-_FIB[_T], _FIB[_T - 1]]])
+_PHI_POW = _PHI ** _POWERS.astype(float)
+_PARITY = 1.0 - 2.0 * (_POWERS % 2)
+_ROW_SUM = np.abs(_BASES).sum(axis=1).max(axis=0).astype(float)
+_UNIT_X = np.array([float(int(n) - int(m) * _ALPHA_200) for n, m in _BASES[:, 0].T])
+_UNIT_S = np.array([float(int(m) + int(n) * _ALPHA_200) for n, m in _BASES[:, 1].T])
+_MARGIN = 2.0**-48  # the float filter's margin per unit of its error scale
+
+
+def _positions(p: np.ndarray) -> np.ndarray:
+    """Table positions p + 75 of the powers p; EnumerationCapError beyond
+    |p| = 75, where the bases need indices of 2**52 or more."""
+    if not (np.abs(p) <= _MAX_POWER).all():
+        raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
+    return p.astype(np.intp) + _MAX_POWER
 
 
 def _reduced_bases(p: np.ndarray) -> np.ndarray:
@@ -223,99 +245,184 @@ def _reduced_bases(p: np.ndarray) -> np.ndarray:
     k = phi**p, up to the sign of s.  Its entries are F_{1-p}, -F_{-p},
     -F_{-p}, F_{-1-p}.
     """
-    if not (np.abs(p) <= _MAX_POWER).all():
-        raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
-    t = _MAX_POWER + 1 - p.astype(np.int64)  # the position of F_{-p}
-    return np.array([[_FIB[t + 1], -_FIB[t]], [-_FIB[t], _FIB[t - 1]]])
+    return _BASES[..., _positions(p)]
 
 
-def _boxes(beta: float, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced index bases u and candidate boxes (lo, size) of the rectangles
-    [a, b) x [c, d): every point of beta*Gamma in rectangle r has indices
-    u[..., r] @ (i, j) with lo[:, r] <= (i, j) < lo[:, r] + size[:, r].
+def _check_indices(u, lo, size) -> None:
+    """Raise EnumerationCapError unless every index of the boxes is below
+    2**52 (indices are linear over a box, so its corners bound them)."""
+    # bound on the int64 products below, which may cancel to small indices
+    reach = (np.abs(u) * np.maximum(np.abs(lo), np.abs(lo + size))).sum(axis=1)
+    lo, size = lo.astype(np.int64), size.astype(np.int64)
+    i, j = np.stack([lo, lo + np.maximum(size - 1, 0)]).transpose(1, 0, 2)
+    if not ((reach < 2.0**62).all() and all(
+            (np.abs(row[0] * i[:, None] + row[1] * j) < _INDEX_LIMIT).all() for row in u)):
+        raise EnumerationCapError("candidate box needs lattice indices beyond 2**52")
+
+
+def _boxes(beta: float, a, b, c, d):
+    """Candidate boxes of the rectangles [a, b) x [c, d): the positions t
+    of their reduced bases u = ``_BASES[..., t]`` in the tables, the boxes
+    (lo, size) and bounds q: every point of beta*Gamma in rectangle r has
+    indices u[..., r] @ (i, j) with lo[:, r] <= (i, j) < lo[:, r] +
+    size[:, r], and while q[r] < 2**51 every candidate of the box has |i|,
+    |j| <= q[r] and |n|, |m| <= ``_ROW_SUM[t[r]]`` * q[r].
 
     u = V**-p, p = rint(log_phi sqrt(h/w)) for a w x h rectangle, maps the
     point of (i, j) to the point of (i, j) times (phi**-p, (-alpha)**-p).
     So the box is the integer hull of A**-1 = [[1, alpha], [-alpha, 1]] /
     (1 + alpha**2) on the corners of [a, b)*phi**p/beta x
     [c, d)*(-alpha)**p/beta, widened by a relative tolerance far above
-    float rounding.  All outputs are int64 arrays.  Raises
+    float rounding.  Both box coordinates are monotone in x and in s, and
+    float rounding keeps that order, so each extreme is the value at one
+    corner.  Boxes whose index bound reaches 2**51 get the exact corner
+    check.  t, lo and size are integer arrays, q is float.  Raises
     EnumerationCapError when the boxes hold more than the cap of candidates
     in total or reach indices beyond 2**52, where ``lattice_coords`` stops
     being exact.
     """
-    edges = np.stack([a, b, c, d])
-    if not (0 < beta < math.inf and np.isfinite(edges).all() and (a < b).all() and (c < d).all()):
-        raise ValueError(f"need finite beta > 0 (got {beta}) and finite edges, a < b, c < d")
     # widths beyond the float range and the huge boxes that go with them
     # overflow to inf; the checks below turn that into EnumerationCapError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p = np.rint(np.log(np.sqrt(d - c) / np.sqrt(b - a)) / math.log(_PHI))
-        u = _reduced_bases(p)
-        phi_p = _PHI**p
-        x = edges[[0, 1, 0, 1]] * (phi_p / beta)
-        s = edges[[2, 2, 3, 3]] * ((1 - 2 * (p % 2)) / (phi_p * beta))  # (-alpha)**p / beta
-        q = np.stack([x + ALPHA_FLOAT * s, s - ALPHA_FLOAT * x]) / (1.0 + ALPHA_FLOAT**2)
-        tol = _BOX_TOL * np.abs(q).max(axis=(0, 1))
-        lo = np.ceil(q.min(axis=1) - tol)
-        size = np.floor(q.max(axis=1) + tol) - lo + 1
+        w, h = b - a, d - c
+        # w > 0 is a < b, and given a < b the extremes of a and b bound both
+        if not (0 < beta < math.inf and (w > 0).all() and (h > 0).all()
+                and a.min(initial=0) > -math.inf and b.max(initial=0) < math.inf
+                and c.min(initial=0) > -math.inf and d.max(initial=0) < math.inf):
+            raise ValueError(
+                f"need finite beta > 0 (got {beta}) and finite edges, a < b, c < d")
+        t = _positions(np.rint(np.log(np.sqrt(h) / np.sqrt(w)) / math.log(_PHI)))
+        phi_p = _PHI_POW[t]
+        kx = phi_p / beta
+        ks = _PARITY[t] / (phi_p * beta)  # (-alpha)**p / beta
+        x_a, x_b = a * kx, b * kx
+        s_c, s_d = c * ks, d * ks
+        s_lo, s_hi = np.minimum(s_c, s_d), np.maximum(s_c, s_d)
+        det = 1.0 + ALPHA_FLOAT**2
+        i_lo, i_hi = (x_a + ALPHA_FLOAT * s_lo) / det, (x_b + ALPHA_FLOAT * s_hi) / det
+        j_lo, j_hi = (s_lo - ALPHA_FLOAT * x_b) / det, (s_hi - ALPHA_FLOAT * x_a) / det
+        q = np.maximum(np.maximum(-i_lo, i_hi), np.maximum(-j_lo, j_hi))
+        tol = _BOX_TOL * q
+        lo = np.stack([np.ceil(i_lo - tol), np.ceil(j_lo - tol)])
+        size = np.stack([np.floor(i_hi + tol), np.floor(j_hi + tol)]) - lo + 1
         total = np.sum(size[0] * size[1])
-        # bound on the int64 products below, which may cancel to small indices
-        reach = (np.abs(u) * np.maximum(np.abs(lo), np.abs(lo + size))).sum(axis=1)
-        lo, size = lo.astype(np.int64), size.astype(np.int64)
+        q += tol + 1
     if not total <= _DEFAULT_CAP:
         raise EnumerationCapError(
             f"candidate boxes of {total:.3g} cells exceed cap {_DEFAULT_CAP}"
         )
-    # indices are linear over a box, so its corners bound them
-    i, j = np.stack([lo, lo + np.maximum(size - 1, 0)]).transpose(1, 0, 2)
-    if not ((reach < 2.0**62).all() and all(
-            (np.abs(row[0] * i[:, None] + row[1] * j) < _INDEX_LIMIT).all() for row in u)):
-        raise EnumerationCapError("candidate box needs lattice indices beyond 2**52")
-    return u, lo, size
+    far = np.flatnonzero(~(_ROW_SUM[t] * q < 2.0**51))
+    if far.size:
+        _check_indices(_BASES[..., t[far]], lo[:, far], size[:, far])
+    return t, lo.astype(np.int64), size.astype(np.int64), q
 
 
-def _candidates(u, lo, ni: int, nj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (n, m) of boxes of ni x nj candidates from corners lo, one
-    row per box."""
-    di, dj = np.divmod(np.arange(ni * nj), nj)
-    ii = lo[0][:, None] + di
-    jj = lo[1][:, None] + dj
-    n = u[0, 0][:, None] * ii + u[0, 1][:, None] * jj
-    m = u[1, 0][:, None] * ii + u[1, 1][:, None] * jj
-    return n, m
-
-
-def _blocks(beta: float, a, b, c, d):
+def _blocks(beta: float, a, b, c, d, slack=0.0):
     """The candidates of the rectangles [a, b) x [c, d) in blocks of about
-    ``_BLOCK``: yields (owner, n, m, keep), the indices of candidates of the
-    rectangles ``owner``, one row each, and their float membership.
+    ``_BLOCK``: yields (owner, t, lo, nj, keep, near), one column per box
+    of nj columns: the rectangles ``owner``, the table positions t and
+    corners lo of their boxes, and masks of the candidates that the float
+    filter puts inside for sure (``keep``) and of those it leaves open
+    (``near``).  ``_indices`` gives the indices (n, m) under a mask.
 
-    Boxes are cut along i into pieces of at most ``_BLOCK`` candidates (or
-    one row), so memory stays bounded, and pieces of one shape are checked
+    Rectangles with an empty box are skipped.  Boxes are cut along i into
+    pieces of at most ``_BLOCK`` candidates (or one row), so memory stays
+    bounded, and pieces of one shape, found by one stable sort, are checked
     together.
+
+    The float filter.  The candidate (i, j) of a box of power p is the
+    point x = phi**-p*(i - alpha*j), s = (-phi)**p*(j + alpha*i), and the
+    filter takes x~ = fl(fl(beta*P)*fl(i - fl(A*j))), A = fl(alpha) and
+    P = phi**-p correctly rounded, and s~ alike.  Let u = 2**-53, |i|, |j|
+    <= Q, L = 2*beta*phi**-p*Q >= |beta*x| and K = beta*max(|n|, |m|).
+    fl(A*j) is within u*phi*Q of alpha*j, the difference adds u*|x| and the
+    two scalings 3u, so |x~ - beta*x| <= 4.1u*L.  The value that decides is
+    beta*x itself (exact edges; a float beta adds u*L) or the IEEE rule's
+    X = fl(beta*x_c), x_c from ``lattice_coords``, within 3u*L +
+    2**-101*K of beta*x.  So x~ is within E = 2**-49.9*L + 2**-101*K
+    (+ 2**-1072 for subnormal results) of the deciding value, and the
+    margin M = 2**-48*L + 2**-96*K + 2**-1070 is at least 3E.  An edge e
+    gets the thresholds fl(e - M) and fl(e + M), which rounding moves by at
+    most u*(|e| + M).  If that is at most M - E, x~ >= fl(e + M) puts the
+    deciding value at or above e and x~ < fl(e - M) puts it below.
+    Otherwise |e| > 2M/(3u) - M > 20L lies beyond x~ and the deciding
+    value, and e and both its thresholds compare alike with either.  So a
+    candidate inside all four inner thresholds is in, one beyond an outer
+    threshold is out, and only the rest are ``near``.  ``slack`` (a scalar
+    or, per edge, shape (4, 1)) adds three times the distance between an
+    edge's float value and the edge that decides.  Boxes where this bound
+    does not hold are all near: |i| or |j| of 2**51 or more, where i and j
+    may not be exact, K >= 2**1022, where x~ may overflow, or beta <
+    2**-960, where beta*P may be subnormal.
     """
-    u, lo, size = _boxes(beta, a, b, c, d)
-    rows = np.maximum(_BLOCK // np.maximum(size[1], 1), 1)
-    pieces = -(-size[0] // rows) * (size[1] > 0)
-    owner = np.repeat(np.arange(a.size), pieces)
-    i_off = (np.arange(owner.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)) * rows[owner]
-    lo = lo[:, owner] + [[1], [0]] * i_off
-    size = np.stack([np.minimum(rows[owner], size[0, owner] - i_off), size[1, owner]])
-    shape = size[0] * (size[1].max(initial=0) + 1) + size[1]
-    for key in np.unique(shape):
-        group = np.flatnonzero(shape == key)
-        ni, nj = size[:, group[0]]
-        per_block = max(1, _BLOCK // (ni * nj))
-        for start in range(0, group.size, per_block):
-            r = group[start:start + per_block]
-            o = owner[r]
-            n, m = _candidates(u[..., o], lo[:, r], ni, nj)
-            x, s = lattice_coords(n, m)
-            x *= beta
-            s *= beta
-            keep = (x >= a[o, None]) & (x < b[o, None]) & (s >= c[o, None]) & (s < d[o, None])
-            yield o, n, m, keep
+    t, lo, size, q = _boxes(beta, a, b, c, d)
+    cells = size[0] * size[1]
+    owner = np.flatnonzero(cells)
+    lo, size = np.take(lo, owner, axis=1), np.take(size, owner, axis=1)
+    if cells.max(initial=0) > _BLOCK:
+        # cut along i: pieces of `rows` rows, the last one shorter
+        rows = np.maximum(_BLOCK // size[1], 1)
+        pieces = -(-size[0] // rows)
+        first = np.repeat(np.cumsum(pieces) - pieces, pieces)
+        owner, rows, lo, size = (np.repeat(v, pieces, axis=-1) for v in (owner, rows, lo, size))
+        i_off = (np.arange(owner.size) - first) * rows
+        lo[0] += i_off
+        size[0] = np.minimum(rows, size[0] - i_off)
+    width = int(size[1].max(initial=0)) + 1
+    key = size[0] * width + size[1]
+    # numpy sorts 16-bit keys stably by radix
+    order = np.argsort(key.astype(np.int16) if key.max(initial=0) < 2**15 else key, kind="stable")
+    key, owner, lo = key[order], owner[order], np.take(lo, order, axis=1)
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    # the float filter: scales, margins and thresholds per box
+    t, q = t[owner], q[owner]
+    kx, ks = beta * _UNIT_X[t], beta * _UNIT_S[t]
+    big = beta * (_ROW_SUM[t] * q)  # K
+    tail = 2.0**-96 * big + 2.0**-1070
+    mx, ms = (2 * _MARGIN) * q * kx + tail, (2 * _MARGIN) * q * np.abs(ks) + tail
+    margin = np.stack([mx, mx, ms, ms]) + slack
+    usable = (q < 2.0**51) & (big < 2.0**1022) & (beta >= 2.0**-960)
+    if not usable.all():
+        margin[:, ~usable] = np.inf
+    edges = np.stack([a[owner], b[owner], c[owner], d[owner]])
+    (a_lo, b_lo, c_lo, d_lo), (a_hi, b_hi, c_hi, d_hi) = edges - margin, edges + margin
+    i_lo, j_lo = lo.astype(float)
+    for start, stop in zip(starts, [*starts[1:], owner.size]):
+        ni, nj = divmod(int(key[start]), width)
+        di, dj = np.divmod(np.arange(ni * nj, dtype=float)[:, None], nj)
+        step = max(1, _BLOCK // (ni * nj))
+        for first in range(start, stop, step):
+            r = slice(first, min(first + step, stop))
+            i, j = i_lo[r] + di, j_lo[r] + dj
+            x = ALPHA_FLOAT * j
+            np.subtract(i, x, out=x)
+            x *= kx[r]
+            s = ALPHA_FLOAT * i
+            s += j
+            s *= ks[r]
+            keep = (x >= a_hi[r]) & (x < b_lo[r]) & (s >= c_hi[r]) & (s < d_lo[r])
+            near = keep | (x < a_lo[r]) | (x > b_hi[r]) | (s < c_lo[r]) | (s > d_hi[r])
+            yield owner[r], t[r], lo[:, r], nj, keep, ~near
+
+
+def _indices(t, lo, nj: int, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boxes and int64 indices (n, m) of the candidates under ``mask``
+    (one column per box), in boxes of nj columns with corners lo and bases
+    ``_BASES[..., t]``."""
+    cand, rows = np.nonzero(mask)
+    i, j = lo[0, rows] + cand // nj, lo[1, rows] + cand % nj
+    u = np.take(_BASES, t[rows], axis=2)
+    return rows, u[0, 0] * i + u[0, 1] * j, u[1, 0] * i + u[1, 1] * j
+
+
+def _float_keep(beta: float, a, b, c, d, n, m) -> np.ndarray:
+    """Membership of the candidates (n, m) in [a, b) x [c, d), one edge
+    each: IEEE comparisons, with no epsilon, of beta times the compensated
+    coordinates of ``lattice_coords``."""
+    x, s = lattice_coords(n, m)
+    x *= beta
+    s *= beta
+    return (x >= a) & (x < b) & (s >= c) & (s < d)
 
 
 def _exact_keep(n, m, rect: Rect, beta: Fraction) -> np.ndarray:
@@ -330,8 +437,7 @@ def _exact_keep(n, m, rect: Rect, beta: Fraction) -> np.ndarray:
         return ((x * ta - ga).sign() >= 0 and (x * tb - gb).sign() < 0
                 and (s * tc - gc).sign() >= 0 and (s * td - gd).sign() < 0)
 
-    keep = list(map(member, n.ravel().tolist(), m.ravel().tolist()))
-    return np.array(keep, dtype=bool).reshape(n.shape)
+    return np.array(list(map(member, n.tolist(), m.tolist())), dtype=bool)
 
 
 def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
@@ -340,17 +446,29 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
     lexicographic order.
 
     Candidates come from the rectangle's box (the one-rectangle case of
-    ``count_rects``).  Exact sign tests decide membership when the rectangle
-    has exact edges and beta is rational; otherwise IEEE comparisons of the
-    compensated float64 coordinates.
+    ``count_rects``), and the float filter of ``_blocks`` decides all but
+    those near an edge.  Those go to exact sign tests when the rectangle
+    has exact edges and beta is rational, and otherwise to IEEE comparisons
+    of the compensated float64 coordinates.  With exact edges the margin
+    also covers each edge's float value, which is within 2**-51*(|g.a| +
+    |g.b|)/q of an edge g/q, g in Z[alpha]: ``to_float`` may cancel, so the
+    error follows the coefficients, not the value.
     """
     beta_frac = spec.beta_fraction
     exact = rect.exact is not None and beta_frac is not None
+    beta = float(spec.beta)
+    edges = [np.array([e]) for e in rect.edges()]
+    slack = 0.0
+    if exact:
+        slack = np.array([[2.0**-49 * (abs(g.a) / q + abs(g.b) / q)] for g, q in rect.exact])
     found = [np.zeros((0, 2), dtype=np.int64)]
-    for _, n, m, keep in _blocks(float(spec.beta), *(np.array([e]) for e in rect.edges())):
-        if exact:
-            keep = _exact_keep(n, m, rect, beta_frac)
-        found.append(np.column_stack([n[keep], m[keep]]))
+    for _, t, lo, nj, keep, near in _blocks(beta, *edges, slack):
+        _, n, m = _indices(t, lo, nj, keep)
+        found.append(np.column_stack([n, m]))
+        if near.any():
+            _, n, m = _indices(t, lo, nj, near)
+            keep = _exact_keep(n, m, rect, beta_frac) if exact else _float_keep(beta, *edges, n, m)
+            found.append(np.column_stack([n[keep], m[keep]]))
     idx = np.concatenate(found)
     return idx[np.lexsort((idx[:, 1], idx[:, 0]))]
 
@@ -366,13 +484,23 @@ def count_rects(beta: float, a, b, c, d) -> np.ndarray:
 
     Every rectangle's reduced basis is a power of the unit's index matrix,
     so each costs about as many candidates as a square of its area,
-    whatever its aspect ratio.
+    whatever its aspect ratio.  The float filter of ``_blocks`` decides
+    all candidates but the few near an edge, which get the compensated
+    coordinates and IEEE comparisons, and one ``np.bincount`` adds up the
+    counts of all blocks.
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    counts = np.zeros(a.size, dtype=np.int64)
-    for owner, _, _, keep in _blocks(beta, a, b, c, d):
-        np.add.at(counts, owner, keep.sum(axis=1))
-    return counts
+    owners, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for owner, t, lo, nj, keep, near in _blocks(beta, a, b, c, d):
+        inside = keep.sum(axis=0)
+        if near.any():
+            rows, n, m = _indices(t, lo, nj, near)
+            o = owner[rows]
+            kept = _float_keep(beta, a[o], b[o], c[o], d[o], n, m)
+            inside += np.bincount(rows[kept], minlength=owner.size)
+        owners.append(owner)
+        sums.append(inside)
+    return np.bincount(np.concatenate(owners), np.concatenate(sums), a.size).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +584,16 @@ def _run_audit(area, trials, seed, aspect_range, center_range, anchor_mode):
     b = np.concatenate([rb, sb])
     c = np.concatenate([rc, sc])
     d = np.concatenate([rd, sd])
+    # a side far below the spacing of floats at the centre range rounds to
+    # 0 (a + w == a), and one beyond the float range overflows
+    for side, edge, lo, hi in (("width", "left", a, b), ("height", "lower", c, d)):
+        length = hi - lo
+        bad = ~((length > 0) & (length < math.inf))
+        if bad.any():
+            k = int(bad.argmax())
+            how = "rounds to 0" if length[k] == 0 else "leaves the float range"
+            raise FloatingPointError(f"area {area}: the {side} of the rectangle with "
+                                     f"{edge} edge {float(lo[k])!r} {how}")
     counts = count_rects(1.0, a, b, c, d)
     i_min = int(counts.argmin())
     i_max = int(counts.argmax())

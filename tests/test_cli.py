@@ -308,6 +308,9 @@ def test_audit_over_cap_exits_2_without_int64_wrap():
     ("frame estimate --scheme dyadic --n 64 --a 1.0000000001", 2),
     ("frame estimate --scheme dyadic --n 64 --b 1e-300", 2),
     ("lattice audit --mode max --area 1 --trials 1000000000", 2),
+    # audit rectangle sides that round to 0 at the centre range, or overflow
+    ("lattice audit --mode max --area 1e-300 --trials 10", 2),
+    ("lattice audit --mode min --area 1e308 --trials 10", 2),
     # an 8 PiB model: larger than the address space, so it fails at once
     (f"frame estimate --scheme golden --n {2**50}", 2),
 ])

@@ -20,7 +20,15 @@ from goldwave.lattice import (
     enumerate_in_rect,
     lattice_coords,
 )
-from goldwave.lattice import _BLOCK, EnumerationCapError, _anchored_rects, _reduced_bases
+from goldwave.lattice import (
+    _BASES,
+    _BLOCK,
+    EnumerationCapError,
+    _anchored_rects,
+    _boxes,
+    _exact_keep,
+    _reduced_bases,
+)
 
 AREA_MIN = 2.0 + ALPHA_FLOAT  # smallest area forcing a point
 AREA_MAX = 1.0 / (3.0 + 2.0 * ALPHA_FLOAT)  # largest area capping at one point
@@ -303,6 +311,103 @@ def test_count_rects_on_extreme_cover_cells():
         counts = count_rects(beta, a, b, c, d)
         assert counts.min() >= 1 and counts.max() <= 12
         assert counts.tolist() == [count_in_rect(LatticeSpec(beta=beta), r) for r in rects]
+
+
+def box_candidates(beta, a, b, c, d):
+    """Every candidate (n, m) of the rectangles' boxes, with its rectangle."""
+    t, lo, size, _ = _boxes(beta, a, b, c, d)
+    cells = size[0] * size[1]
+    owner = np.repeat(np.arange(a.size), cells)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(cells) - cells, cells)
+    i = lo[0, owner] + k // size[1, owner]
+    j = lo[1, owner] + k % size[1, owner]
+    u = _BASES[..., t[owner]]
+    return owner, u[0, 0] * i + u[0, 1] * j, u[1, 0] * i + u[1, 1] * j
+
+
+def unfiltered_counts(beta, a, b, c, d) -> np.ndarray:
+    """count_rects without the float filter: every candidate of every box
+    goes through lattice_coords and the IEEE rule."""
+    owner, n, m = box_candidates(beta, a, b, c, d)
+    x, s = lattice_coords(n, m)
+    x *= beta
+    s *= beta
+    inside = (x >= a[owner]) & (x < b[owner]) & (s >= c[owner]) & (s < d[owner])
+    return np.bincount(owner[inside], minlength=a.size)
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_float_filter_on_zero_nudge_anchored_rects(mode):
+    # lattice points exactly on the edges (the audits' anchors, nudge 0)
+    rng = np.random.default_rng(31)
+    for area in (AREA_MIN, AREA_MAX, 10.0):
+        w = np.sqrt(area * np.exp(rng.uniform(math.log(1e-5), math.log(1e5), 3000)))
+        idx = rng.integers(-400, 401, size=(3000, 4))
+        gx = idx[:, 0] - idx[:, 1] * ALPHA_FLOAT
+        gs = idx[:, 2] + idx[:, 3] * ALPHA_FLOAT
+        if mode == "min":
+            a, b, c, d = gx - w, gx, gs - area / w, gs
+        else:
+            a, b, c, d = gx, gx + w, gs, gs + area / w
+        counts = count_rects(1.0, a, b, c, d)
+        assert counts.tolist() == unfiltered_counts(1.0, a, b, c, d).tolist()
+
+
+@pytest.mark.parametrize("centre", [1e3, 1e6, 1e9, 2.0**40])
+@pytest.mark.parametrize("beta", [1.0, 0.7, 1.3e-3, 123.0])
+def test_float_filter_at_plain_float_lattice_coordinates(centre, beta):
+    # edges at beta*(n - m*alpha) and beta*(m + n*alpha) in plain float,
+    # where the filter's own value lands on the edge; indices up to centre
+    rng = np.random.default_rng(int(centre) % 1000 + int(beta * 10))
+    k = 3000
+    n, m, n2, m2 = rng.integers(-int(centre), int(centre) + 1, size=(4, k)).astype(float)
+    gx = beta * (n - m * ALPHA_FLOAT)
+    gs = beta * (m2 + n2 * ALPHA_FLOAT)
+    area = beta**2 * np.exp(rng.uniform(math.log(0.2), math.log(30.0), k))
+    w = np.sqrt(area * np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k)))
+    h = area / w
+    # the lattice coordinate on a closed edge, an open edge, or inside
+    side = rng.integers(0, 3, size=(2, k))
+    a = np.where(side[0] == 0, gx, np.where(side[0] == 1, gx - w, gx - w * rng.uniform(size=k)))
+    c = np.where(side[1] == 0, gs, np.where(side[1] == 1, gs - h, gs - h * rng.uniform(size=k)))
+    b, d = a + w, c + h
+    ok = (a < b) & (c < d)
+    a, b, c, d = a[ok], b[ok], c[ok], d[ok]
+    counts = count_rects(beta, a, b, c, d)
+    assert counts.sum() > k
+    assert counts.tolist() == unfiltered_counts(beta, a, b, c, d).tolist()
+
+
+def test_float_filter_on_extreme_cover_cells():
+    # rows |l| = 30: indices near 1e13 cancel to coordinates near 1e-13
+    for delta in (0.5, 1.0):
+        rects = [cell(delta, k, l).rect for l in (-30, 30) for k in range(-60, 61)]
+        a, b, c, d = (np.array(v) for v in zip(*(r.edges() for r in rects)))
+        beta = beta_for_delta(delta)
+        assert count_rects(beta, a, b, c, d).tolist() == unfiltered_counts(beta, a, b, c, d).tolist()
+
+
+def test_exact_filter_matches_every_candidate_decided_exactly():
+    # exact edges through lattice points with indices near 1e6, where the
+    # float values of the edges and of beta are off by ulps: the point
+    # P0 = (n0, m0) on the closed corner, P0 + (k, 0) on the open right edge
+    # and P0 + (j, l) on the open top edge, both inside the other side's
+    # range.  The filtered list equals the exact sign tests run on every
+    # candidate of the box.
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        p, q = (int(v) for v in rng.integers(1, 8, size=2))
+        n0, m0 = (int(v) for v in rng.integers(-10**6, 10**6, size=2))
+        k, l = (int(v) for v in rng.integers(1, 6, size=2))
+        j = math.ceil(l * ALPHA_FLOAT)  # 0 < j - l*alpha < 1 <= k
+        x0, s0 = GoldenNumber(p * n0, -p * m0), GoldenNumber(p * m0, p * n0)
+        rect = Rect.from_exact((x0, q), (x0 + p * k, q), (s0, q), (s0 + GoldenNumber(p * l, p * j), q))
+        beta = Fraction(p, q)
+        _, n, m = box_candidates(float(beta), *(np.array([e]) for e in rect.edges()))
+        keep = _exact_keep(n, m, rect, beta)
+        assert [n0, m0] in np.column_stack([n[keep], m[keep]]).tolist()
+        want = sorted(zip(n[keep].tolist(), m[keep].tolist()))
+        assert enumerate_in_rect(LatticeSpec(beta=beta), rect).tolist() == [list(v) for v in want]
 
 
 def test_count_rects_empty_batch():
