@@ -376,14 +376,18 @@ def _blocks(beta: float, a, b, c, d, slack=0.0):
     starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
     # the float filter: scales, margins and thresholds per box
     t, q = t[owner], q[owner]
-    kx, ks = beta * _UNIT_X[t], beta * _UNIT_S[t]
-    big = beta * (_ROW_SUM[t] * q)  # K
-    tail = 2.0**-96 * big + 2.0**-1070
-    mx, ms = (2 * _MARGIN) * q * kx + tail, (2 * _MARGIN) * q * np.abs(ks) + tail
+    # scales and margins of the boxes left unusable below may overflow
+    with np.errstate(over="ignore"):
+        kx, ks = beta * _UNIT_X[t], beta * _UNIT_S[t]
+        big = beta * (_ROW_SUM[t] * q)  # K
+        tail = 2.0**-96 * big + 2.0**-1070
+        mx, ms = (2 * _MARGIN) * q * kx + tail, (2 * _MARGIN) * q * np.abs(ks) + tail
     margin = np.stack([mx, mx, ms, ms]) + slack
     usable = (q < 2.0**51) & (big < 2.0**1022) & (beta >= 2.0**-960)
     if not usable.all():
+        # every candidate near; zero scales keep x~ and s~ finite
         margin[:, ~usable] = np.inf
+        kx[~usable] = ks[~usable] = 0.0
     edges = np.stack([a[owner], b[owner], c[owner], d[owner]])
     (a_lo, b_lo, c_lo, d_lo), (a_hi, b_hi, c_hi, d_hi) = edges - margin, edges + margin
     i_lo, j_lo = lo.astype(float)

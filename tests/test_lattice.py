@@ -410,6 +410,30 @@ def test_exact_filter_matches_every_candidate_decided_exactly():
         assert enumerate_in_rect(LatticeSpec(beta=beta), rect).tolist() == [list(v) for v in want]
 
 
+def test_exact_filter_on_edges_whose_float_value_cancels():
+    # g = F_k - F_{k+1}*alpha is within alpha**k of 0, but to_float cancels
+    # coefficients near phi**k, so its float value may lie on the wrong
+    # side of the origin; the filter must still leave the origin to the
+    # exact test
+    beta = Fraction(1)
+    for k in range(20, 75):
+        g = (GoldenNumber(fibonacci(k), -fibonacci(k + 1)), 1)
+        for rect in (Rect.from_exact(g, 3, -2, 2), Rect.from_exact(-3, g, -2, 2),
+                     Rect.from_exact(-2, 2, g, 3), Rect.from_exact(-2, 2, -3, g)):
+            _, n, m = box_candidates(float(beta), *(np.array([e]) for e in rect.edges()))
+            keep = _exact_keep(n, m, rect, beta)
+            want = sorted(zip(n[keep].tolist(), m[keep].tolist()))
+            assert enumerate_in_rect(LatticeSpec(beta=beta), rect).tolist() == [list(v) for v in want]
+
+
+def test_float_filter_with_scales_beyond_the_float_range():
+    # beta * phi**43 overflows: the filter leaves every candidate near,
+    # without a RuntimeWarning
+    edges = [np.array([v]) for v in (0.0, 1e9, 0.0, 1e-9)]
+    assert count_rects(1e300, *edges).tolist() == [1]
+    assert enumerate_in_rect(LatticeSpec(1e300), Rect(0.0, 1e9, 0.0, 1e-9)).tolist() == [[0, 0]]
+
+
 def test_count_rects_empty_batch():
     counts = count_rects(1.0, *(np.zeros(0) for _ in range(4)))
     assert counts.dtype == np.int64 and counts.shape == (0,)
