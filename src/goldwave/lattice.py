@@ -9,8 +9,8 @@ Counting has one engine.  ``count_rects`` takes the reduced basis of every
 rectangle, in the frame where it is a square, in closed form from the unit
 phi of Z[phi], and as candidates the small integer box that this basis maps
 onto a parallelogram covering the rectangle; rectangles with equally shaped
-boxes, found by one stable sort, are checked together.  A rectangle of any aspect ratio thus costs
-about as many candidates as a square of its area.
+boxes, found by one stable sort, are checked together.  A rectangle of any
+aspect ratio thus costs about as many candidates as a square of its area.
 ``enumerate_in_rect`` lists the indices of one rectangle's points from the
 same box, as one int64 array.
 ``audit_min_count`` / ``audit_max_count`` run randomized plus
@@ -210,11 +210,17 @@ _MAX_POWER = 75  # F_76 < 2**52 < F_77
 # F_i at position i + 76 for |i| <= 76, with F_{-i} = (-1)**(i+1) * F_i
 _FIB = np.array([fibonacci(abs(i)) * (-1 if i < 0 and i % 2 == 0 else 1)
                  for i in range(-_MAX_POWER - 1, _MAX_POWER + 2)], dtype=np.int64)
-# tables over the powers p, |p| <= 75, at the position p + 75: the index
-# basis V**-p, with entries F_{1-p}, -F_{-p}, -F_{-p}, F_{-1-p}; phi**p and
-# (-1)**p for the boxes; the largest row sum of |V**-p|, which bounds the
-# indices of a box; and phi**-p and (-phi)**p, the scales of V**-p in x and
-# in s, correctly rounded from alpha to 200 bits
+# Reduced bases.  Multiplication by the unit phi maps Gamma onto itself:
+# the indices V @ (n, m), V = [[1, -1], [-1, 0]], give the point (phi*x,
+# -alpha*s).  The unit basis is reduced (|mu| <= 1/2) in the frame (x*k,
+# s/k) for phi**(-1/2) <= k <= phi**(1/2), so V**-p is reduced in the
+# frame at k = phi**p, up to the sign of s.
+# Tables over the powers p, |p| <= 75, at the position p + 75: the index
+# basis V**-p, shape (2, 2, 151), whose columns u[:, 0] and u[:, 1] are
+# index pairs (n, m), with entries F_{1-p}, -F_{-p}, -F_{-p}, F_{-1-p};
+# phi**p and (-1)**p for the boxes; the largest row sum of |V**-p|, which
+# bounds the indices of a box; and phi**-p and (-phi)**p, the scales of
+# V**-p in x and in s, correctly rounded from alpha to 200 bits
 _POWERS = np.arange(-_MAX_POWER, _MAX_POWER + 1)
 _T = _MAX_POWER + 1 - _POWERS  # the position of F_{-p} in _FIB
 _BASES = np.array([[_FIB[_T + 1], -_FIB[_T]], [-_FIB[_T], _FIB[_T - 1]]])
@@ -232,20 +238,6 @@ def _positions(p: np.ndarray) -> np.ndarray:
     if not (np.abs(p) <= _MAX_POWER).all():
         raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
     return p.astype(np.intp) + _MAX_POWER
-
-
-def _reduced_bases(p: np.ndarray) -> np.ndarray:
-    """Index bases u = V**-p, shape (2, 2, N), with u[:, 0] and u[:, 1] the
-    index columns (n, m), for every power p at once.
-
-    Multiplication by the unit phi maps Gamma onto itself: the indices
-    V @ (n, m), V = [[1, -1], [-1, 0]], give the point (phi*x, -alpha*s).
-    The unit basis is reduced (|mu| <= 1/2) in the frame (x*k, s/k) for
-    phi**(-1/2) <= k <= phi**(1/2), so V**-p is reduced in the frame at
-    k = phi**p, up to the sign of s.  Its entries are F_{1-p}, -F_{-p},
-    -F_{-p}, F_{-1-p}.
-    """
-    return _BASES[..., _positions(p)]
 
 
 def _check_indices(u, lo, size) -> None:

@@ -27,7 +27,7 @@ from goldwave.lattice import (
     _anchored_rects,
     _boxes,
     _exact_keep,
-    _reduced_bases,
+    _positions,
 )
 
 AREA_MIN = 2.0 + ALPHA_FLOAT  # smallest area forcing a point
@@ -243,7 +243,7 @@ def test_reduced_bases_closed_form():
     rng = np.random.default_rng(5)
     k = np.exp(rng.uniform(math.log(1e-13), math.log(1e13), 20000))
     k = np.concatenate([k, [phi**0.5, phi**-0.5, 1.0]])
-    u = _reduced_bases(power(k))
+    u = _BASES[..., _positions(power(k))]
     assert u.shape == (2, 2, k.size) and u.dtype == np.int64
     assert (np.abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) == 1).all()
     x, s = lattice_coords(u[0], u[1])
@@ -252,7 +252,7 @@ def test_reduced_bases_closed_form():
     assert np.abs(mu).max() <= 0.5 + 1e-3
     for bad in (1e20, 0.0, math.inf):
         with pytest.raises(EnumerationCapError):
-            _reduced_bases(power(np.array([bad])))
+            _positions(power(np.array([bad])))
 
 
 def test_count_rects_agrees_with_enumeration():
@@ -385,6 +385,34 @@ def test_float_filter_on_extreme_cover_cells():
         a, b, c, d = (np.array(v) for v in zip(*(r.edges() for r in rects)))
         beta = beta_for_delta(delta)
         assert count_rects(beta, a, b, c, d).tolist() == unfiltered_counts(beta, a, b, c, d).tolist()
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.7, 1.3e-3, 123.0])
+def test_float_filter_at_compensated_coordinates_of_large_indices(beta):
+    # points near (F_k, F_{k+1}): indices up to 1e10 with x near alpha**k,
+    # so the error of the compensated coordinates, not of x~, sets the
+    # margin; an edge sits on the IEEE rule's value of such a point
+    rng = np.random.default_rng(int(beta * 1000))
+    k = np.repeat(np.arange(10, 50), 40)
+    fib = np.array([fibonacci(int(v)) for v in range(10, 52)], dtype=np.int64)
+    n = fib[k - 10] + rng.integers(-3, 4, k.size)
+    m = fib[k - 9] + rng.integers(-3, 4, k.size)
+    x, s = lattice_coords(n, m)
+    x *= beta
+    s *= beta
+    w = np.abs(x) * 10.0 ** rng.uniform(-1, 1, k.size)
+    h = beta**2 * rng.uniform(0.3, 10, k.size) / w
+    # the point on the closed left edge, the open right edge, the closed
+    # bottom edge or the open top edge
+    side = rng.integers(0, 4, k.size)
+    u, v = rng.uniform(size=(2, k.size))
+    a = np.select([side == 0, side == 1], [x, x - w], x - w * u)
+    c = np.select([side == 2, side == 3], [s, s - h], s - h * v)
+    b, d = a + w, c + h
+    ok = (a < b) & (c < d)
+    a, b, c, d = a[ok], b[ok], c[ok], d[ok]
+    assert a.size > 1500
+    assert count_rects(beta, a, b, c, d).tolist() == unfiltered_counts(beta, a, b, c, d).tolist()
 
 
 def test_exact_filter_matches_every_candidate_decided_exactly():
