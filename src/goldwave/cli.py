@@ -76,12 +76,23 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_floats(text: str, n: int, flag: str, sep: str = ",") -> list[float]:
+def _exact(text: str) -> Fraction:
+    """A decimal or p/q, exactly; finite as a float, exponents under 4 digits."""
+    try:
+        if re.search(r"[eE][+-]?0*\d{4}", text):  # Fraction would expand 10**exponent
+            raise OverflowError
+        float(value := Fraction(text))  # OverflowError beyond the float range
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
+    return value
+
+
+def _parse_numbers(text: str, n: int, flag: str, sep: str = ",", kind=_finite) -> list:
     parts = text.split(sep)
     if len(parts) != n:
         raise UsageError(f"{flag} expects {n} values separated by {sep!r}, got {text!r}")
     try:
-        return [_finite(p) for p in parts]
+        return [kind(p) for p in parts]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{flag}: {exc}") from None
 
@@ -260,20 +271,19 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _cmd_lattice_count(args) -> tuple[dict, int]:
-    a, b, c, d = _parse_floats(args.rect, 4, "--rect")
+    edges = _parse_numbers(args.rect, 4, "--rect", kind=_exact)
+    a, b, c, d = map(float, edges)
+    # rounding keeps the order, so this also refuses edges of one float value
     if not (b > a and d > c):
         raise UsageError(f"degenerate rectangle {args.rect!r}: need b > a and d > c")
-    try:
-        beta = Fraction(args.beta)
-        fb = float(beta)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise UsageError(f"--beta: not a finite number: {args.beta!r}") from None
+    (beta,) = _parse_numbers(args.beta, 1, "--beta", kind=_exact)
+    fb = float(beta)
     if not fb > 0:
         raise UsageError(f"--beta must be a positive float, got {args.beta}")
-    idx = enumerate_in_rect(LatticeSpec(beta=beta), Rect(a, b, c, d))
+    idx = enumerate_in_rect(LatticeSpec(beta=beta), Rect.from_exact(*edges))
     result = {"count": len(idx)}
     if len(idx) <= 100:
-        # the coordinates that decided membership
+        # float coordinates, for display; membership was decided exactly
         x, s = lattice_coords(*idx.T)
         result["points"] = [
             {"n": n, "m": m, "x": px * fb, "s": ps * fb}
@@ -286,7 +296,7 @@ def _cmd_lattice_audit(args) -> tuple[dict, int]:
     area = _parse_area(args.area)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    lo, hi = _parse_floats(args.aspect, 2, "--aspect", sep=":")
+    lo, hi = _parse_numbers(args.aspect, 2, "--aspect", sep=":")
     fn = audit_min_count if args.mode == "min" else audit_max_count
     audit = fn(area, args.trials, seed=args.seed,
                aspect_range=(lo, hi), center_range=args.window)

@@ -247,11 +247,12 @@ def estimate_bounds(
             f"{npts} sample points cannot frame a {dim}-dimensional band; "
             "the lower bound is structurally zero"
         )
-    # zherk forms the upper triangle of G only: half the work of m.T @ m.conj().
+    # zherk forms G's upper triangle only (half of m.T @ m.conj()); eigh shares its BLAS.
     # Imported here: loading scipy.linalg would add 0.1 s to every other command.
-    from scipy.linalg.blas import zherk
+    from scipy.linalg import blas, eigh
 
-    lam, vecs = np.linalg.eigh(zherk(1.0, m.T), UPLO="U")
+    lam, vecs = eigh(blas.zherk(1.0, m.T), lower=False, driver="evd", overwrite_a=True,
+                     check_finite=False)
     lower, upper = float(lam[0]), float(lam[-1])
     ends = vecs[:, [0, -1]]
     g_ends = m.T @ (m @ ends.conj()).conj()  # G @ ends, from M itself

@@ -17,19 +17,18 @@ same box, as one int64 array.
 lattice-anchored adversarial ensembles of fixed-area rectangles and report
 the extreme counts with reproducing witnesses.
 
-Boundary policy: a float filter decides most candidates.  It compares each
-candidate's plain float coordinates, taken in the reduced frame of its box,
-with the edges moved in and out by a margin M of at least three times the
-proven error of those coordinates (see ``_blocks``): a candidate inside
-every moved-in edge is in, one beyond a moved-out edge is out.  Only the
-few within M of an edge go to one of two deciders: exact sign tests in
-Z[alpha] when the rectangle edges and beta are rational or Z[alpha]-valued,
-otherwise IEEE comparisons, with no epsilon, of the compensated float64
-coordinates of ``lattice_coords``.  So every candidate gets the answer its
-decider would give.  Randomized audits draw edges from continuous
-distributions, so float ties occur with probability zero.  Indices stay
-below 2**52, where those coordinates are exact; a rectangle that needs
-larger ones, or more candidates than the cap, raises EnumerationCapError.
+Boundary policy: membership is exact, for the rectangle and the scale as
+given.  A float edge or a float beta is read as the dyadic rational it is;
+an exact edge (``Rect.exact``) and a Fraction beta are used as they are.
+A float filter decides most candidates.  It compares each candidate's
+plain float coordinates, taken in the reduced frame of its box, with the
+edges moved in and out by a margin M of at least three times the proven
+error of those coordinates (see ``_blocks``): a candidate inside every
+moved-in edge is in, one beyond a moved-out edge is out.  Only the few
+within M of an edge reach the decider, ``_exact_keep``: sign tests in
+Z[alpha], which count a point on a closed edge and leave out one on an
+open edge.  Indices stay below 2**52; a rectangle that needs larger ones,
+or more candidates than the cap, raises EnumerationCapError.
 """
 
 from __future__ import annotations
@@ -109,10 +108,8 @@ class EnumerationCapError(RuntimeError):
 
 
 def _edge_float(e: ExactEdge) -> float:
-    if isinstance(e, GoldenNumber):
-        return e.to_float()
-    if isinstance(e, tuple):
-        g, q = e
+    if isinstance(e, (GoldenNumber, tuple)):
+        g, q = _as_golden_ratio(e)
         return g.to_float() / q
     return float(e)
 
@@ -122,9 +119,10 @@ class Rect:
     """Axis-parallel half-open rectangle [a, b) x [c, d).
 
     ``exact`` optionally carries the edges as exact values (int, Fraction,
-    GoldenNumber or a pair (g, q)), enabling exact membership tests; they
-    are stored as (g, q) pairs.  The float fields are always populated and
-    are the embedding of the exact edges when present.
+    GoldenNumber or a pair (g, q)), stored as (g, q) pairs; membership is
+    then decided for them.  The float fields are always populated and are
+    the embedding of the exact edges when present; without ``exact`` they
+    are the edges, read as the dyadic rationals they are.
     """
 
     a: float
@@ -166,8 +164,9 @@ class Rect:
         return (self.a, self.b, self.c, self.d)
 
 
-def _as_golden_ratio(e: ExactEdge) -> tuple[GoldenNumber, int]:
-    """Represent an exact edge as g / q with q > 0."""
+def _as_golden_ratio(e: ExactEdge | float) -> tuple[GoldenNumber, int]:
+    """Represent an exact edge, or a float as the dyadic rational it is, as
+    g / q with q > 0 (a float's own as_integer_ratio beats Fraction's)."""
     if isinstance(e, GoldenNumber):
         return e, 1
     if isinstance(e, tuple):
@@ -175,17 +174,16 @@ def _as_golden_ratio(e: ExactEdge) -> tuple[GoldenNumber, int]:
         if not (isinstance(g, GoldenNumber) and isinstance(q, int) and q > 0):
             raise TypeError(f"edge pair must be (GoldenNumber, positive int), got {e!r}")
         return g, q
-    if isinstance(e, Fraction):
-        return GoldenNumber(e.numerator, 0), e.denominator
-    return GoldenNumber(int(e), 0), 1
+    num, den = (e if isinstance(e, float) else Fraction(e)).as_integer_ratio()
+    return GoldenNumber(num, 0), den
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
     """Isotropically scaled lattice beta * Gamma.
 
-    ``beta`` may be a Fraction for exact membership work; floats are fine for
-    audits where edges are drawn from continuous distributions.
+    ``beta`` may be a float, read as the dyadic rational it is, or an int
+    or Fraction; membership is decided exactly for that value.
     """
 
     beta: float | Fraction = 1.0
@@ -326,26 +324,26 @@ def _blocks(beta: float, a, b, c, d, slack=0.0):
     point x = phi**-p*(i - alpha*j), s = (-phi)**p*(j + alpha*i), and the
     filter takes x~ = fl(fl(beta*P)*fl(i - fl(A*j))), A = fl(alpha) and
     P = phi**-p correctly rounded, and s~ alike.  Let u = 2**-53, |i|, |j|
-    <= Q, L = 2*beta*phi**-p*Q >= |beta*x| and K = beta*max(|n|, |m|).
-    fl(A*j) is within u*phi*Q of alpha*j, the difference adds u*|x| and the
-    two scalings 3u, so |x~ - beta*x| <= 4.1u*L.  The value that decides is
-    beta*x itself (exact edges; a float beta adds u*L) or the IEEE rule's
-    X = fl(beta*x_c), x_c from ``lattice_coords``, within 3u*L +
-    2**-101*K of beta*x.  So x~ is within E = 2**-49.9*L + 2**-101*K
-    (+ 2**-1072 for subnormal results) of the deciding value, and the
-    margin M = 2**-48*L + 2**-96*K + 2**-1070 is at least 3E.  An edge e
-    gets the thresholds fl(e - M) and fl(e + M), which rounding moves by at
-    most u*(|e| + M).  If that is at most M - E, x~ >= fl(e + M) puts the
+    <= Q and L = 2*beta*phi**-p*Q >= |beta*x|.  fl(A*j) is within u*phi*Q
+    of alpha*j, the difference adds u*|x| and the two scalings 3u, so
+    |x~ - beta*x| <= 4.1u*L.  The value that decides is beta*x for the
+    beta that the decider reads: the float beta itself, or a rational beta
+    whose float is within u*|beta| of it, which adds u*L.  So x~ is within
+    E = 5.1u*L (+ 2**-1072 for subnormal results) of the deciding value,
+    and the margin M = 2**-48*L + 2**-1070 is at least 3E.  An edge e gets
+    the thresholds fl(e - M) and fl(e + M), which rounding moves by at most
+    u*(|e| + M).  If that is at most M - E, x~ >= fl(e + M) puts the
     deciding value at or above e and x~ < fl(e - M) puts it below.
     Otherwise |e| > 2M/(3u) - M > 20L lies beyond x~ and the deciding
     value, and e and both its thresholds compare alike with either.  So a
     candidate inside all four inner thresholds is in, one beyond an outer
     threshold is out, and only the rest are ``near``.  ``slack`` (a scalar
     or, per edge, shape (4, 1)) adds three times the distance between an
-    edge's float value and the edge that decides.  Boxes where this bound
-    does not hold are all near: |i| or |j| of 2**51 or more, where i and j
-    may not be exact, K >= 2**1022, where x~ may overflow, or beta <
-    2**-960, where beta*P may be subnormal.
+    edge's float value and the exact edge that decides; a float edge is
+    its own deciding value and needs none.  Boxes where this bound does
+    not hold are all near: |i| or |j| of 2**51 or more, where i and j may
+    not be exact, K = beta*max(|n|, |m|) >= 2**1022, where x~ may overflow,
+    or beta < 2**-960, where beta*P may be subnormal.
     """
     t, lo, size, q = _boxes(beta, a, b, c, d)
     cells = size[0] * size[1]
@@ -372,8 +370,8 @@ def _blocks(beta: float, a, b, c, d, slack=0.0):
     with np.errstate(over="ignore"):
         kx, ks = beta * _UNIT_X[t], beta * _UNIT_S[t]
         big = beta * (_ROW_SUM[t] * q)  # K
-        tail = 2.0**-96 * big + 2.0**-1070
-        mx, ms = (2 * _MARGIN) * q * kx + tail, (2 * _MARGIN) * q * np.abs(ks) + tail
+        mq = (2 * _MARGIN) * q  # 2**-48 * L per unit of beta times the scale
+        mx, ms = mq * kx + 2.0**-1070, mq * np.abs(ks) + 2.0**-1070
     margin = np.stack([mx, mx, ms, ms]) + slack
     usable = (q < 2.0**51) & (big < 2.0**1022) & (beta >= 2.0**-960)
     if not usable.all():
@@ -411,29 +409,23 @@ def _indices(t, lo, nj: int, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, u[0, 0] * i + u[0, 1] * j, u[1, 0] * i + u[1, 1] * j
 
 
-def _float_keep(beta: float, a, b, c, d, n, m) -> np.ndarray:
-    """Membership of the candidates (n, m) in [a, b) x [c, d), one edge
-    each: IEEE comparisons, with no epsilon, of beta times the compensated
-    coordinates of ``lattice_coords``."""
-    x, s = lattice_coords(n, m)
-    x *= beta
-    s *= beta
-    return (x >= a) & (x < b) & (s >= c) & (s < d)
+def _exact_keep(beta: Fraction, n, m, rects) -> np.ndarray:
+    """Membership of the candidates (n, m) of beta*Gamma, each in its own
+    rectangle [a, b) x [c, d) (``rects``: one tuple of four edges per
+    candidate, exact edges or floats, see ``_as_golden_ratio``), by exact
+    sign tests in Z[alpha]: with beta = p/r and an edge g/q, beta*v - g/q
+    has the sign of p*q*v - r*g, all denominators positive."""
+    p, r = beta.numerator, beta.denominator
 
+    def at_least(v0: int, v1: int, edge) -> bool:  # beta*(v0 + v1*alpha) >= edge
+        g, q = _as_golden_ratio(edge)
+        return GoldenNumber(p * q * v0 - r * g.a, p * q * v1 - r * g.b).sign() >= 0
 
-def _exact_keep(n, m, rect: Rect, beta: Fraction) -> np.ndarray:
-    """Exact membership of the candidates (n, m) in ``rect``, by sign tests:
-    with beta = p/r and an edge g/q, beta*v - g/q has the sign of
-    p*q*v - r*g, all denominators positive."""
-    (ta, ga), (tb, gb), (tc, gc), (td, gd) = (
-        (beta.numerator * q, g * beta.denominator) for g, q in rect.exact)
+    def member(i: int, j: int, e) -> bool:  # e = (a, b, c, d)
+        return (at_least(i, -j, e[0]) and not at_least(i, -j, e[1])
+                and at_least(j, i, e[2]) and not at_least(j, i, e[3]))
 
-    def member(i: int, j: int) -> bool:
-        x, s = GoldenNumber(i, -j), GoldenNumber(j, i)
-        return ((x * ta - ga).sign() >= 0 and (x * tb - gb).sign() < 0
-                and (s * tc - gc).sign() >= 0 and (s * td - gd).sign() < 0)
-
-    return np.array(list(map(member, n.tolist(), m.tolist())), dtype=bool)
+    return np.array(list(map(member, n.tolist(), m.tolist(), rects)), dtype=bool)
 
 
 def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
@@ -442,28 +434,24 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
     lexicographic order.
 
     Candidates come from the rectangle's box (the one-rectangle case of
-    ``count_rects``), and the float filter of ``_blocks`` decides all but
-    those near an edge.  Those go to exact sign tests when the rectangle
-    has exact edges and beta is rational, and otherwise to IEEE comparisons
-    of the compensated float64 coordinates.  With exact edges the margin
-    also covers each edge's float value, which is within 2**-51*(|g.a| +
-    |g.b|)/q of an edge g/q, g in Z[alpha]: ``to_float`` may cancel, so the
-    error follows the coefficients, not the value.
+    ``count_rects``), the float filter of ``_blocks`` decides all but
+    those near an edge, and ``_exact_keep`` decides those, for the exact
+    edges when the rectangle has them and for beta as given.  With exact
+    edges the margin also covers each edge's float value, which is within
+    2**-51*(|g.a| + |g.b|)/q of an edge g/q, g in Z[alpha]: ``to_float``
+    may cancel, so the error follows the coefficients, not the value.
     """
-    beta_frac = spec.beta_fraction
-    exact = rect.exact is not None and beta_frac is not None
-    beta = float(spec.beta)
-    edges = [np.array([e]) for e in rect.edges()]
-    slack = 0.0
-    if exact:
-        slack = np.array([[2.0**-49 * (abs(g.a) / q + abs(g.b) / q)] for g, q in rect.exact])
+    beta = Fraction(spec.beta)
+    floats = tuple(map(float, rect.edges()))
+    slack = 0.0 if rect.exact is None else np.array(
+        [[2.0**-49 * (abs(g.a) / q + abs(g.b) / q)] for g, q in rect.exact])
     found = [np.zeros((0, 2), dtype=np.int64)]
-    for _, t, lo, nj, keep, near in _blocks(beta, *edges, slack):
+    for _, t, lo, nj, keep, near in _blocks(float(beta), *(np.array([e]) for e in floats), slack):
         _, n, m = _indices(t, lo, nj, keep)
         found.append(np.column_stack([n, m]))
         if near.any():
             _, n, m = _indices(t, lo, nj, near)
-            keep = _exact_keep(n, m, rect, beta_frac) if exact else _float_keep(beta, *edges, n, m)
+            keep = _exact_keep(beta, n, m, [rect.exact or floats] * n.size)
             found.append(np.column_stack([n[keep], m[keep]]))
     idx = np.concatenate(found)
     return idx[np.lexsort((idx[:, 1], idx[:, 0]))]
@@ -476,14 +464,14 @@ def count_in_rect(spec: LatticeSpec, rect: Rect) -> int:
 
 def count_rects(beta: float, a, b, c, d) -> np.ndarray:
     """Counts of beta*Gamma in the rectangles [a, b) x [c, d), given as 1-D
-    arrays of edges, by the float membership of ``enumerate_in_rect``.
+    arrays of float edges, with the membership of ``enumerate_in_rect``.
 
     Every rectangle's reduced basis is a power of the unit's index matrix,
     so each costs about as many candidates as a square of its area,
     whatever its aspect ratio.  The float filter of ``_blocks`` decides
-    all candidates but the few near an edge, which get the compensated
-    coordinates and IEEE comparisons, and one ``np.bincount`` adds up the
-    counts of all blocks.
+    all candidates but the few near an edge, which ``_exact_keep`` decides
+    for the edges and beta read as dyadic rationals, and one
+    ``np.bincount`` adds up the counts of all blocks.
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
     owners, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
@@ -492,7 +480,7 @@ def count_rects(beta: float, a, b, c, d) -> np.ndarray:
         if near.any():
             rows, n, m = _indices(t, lo, nj, near)
             o = owner[rows]
-            kept = _float_keep(beta, a[o], b[o], c[o], d[o], n, m)
+            kept = _exact_keep(Fraction(beta), n, m, zip(*(e[o].tolist() for e in (a, b, c, d))))
             inside += np.bincount(rows[kept], minlength=owner.size)
         owners.append(owner)
         sums.append(inside)

@@ -38,8 +38,8 @@ def test_lattice_count_basic():
 
 
 def test_lattice_count_points_lie_in_the_rect():
-    # the listed x and s are the coordinates that decided membership, so a
-    # thin rectangle at a large offset lists no point past its open edges
+    # a thin rectangle at a large offset: the listed float coordinates of
+    # its points lie inside the edges as typed
     rect = "24233395795.867126,24233395795.86736,-452225094901.6305,-452225089190.59717"
     rc, rep, _ = run_json(["lattice", "count", "--rect", rect, "--beta", "1/5"])
     assert rc == 0
@@ -47,6 +47,16 @@ def test_lattice_count_points_lie_in_the_rect():
     points = rep["result"]["points"]
     assert len(points) == rep["result"]["count"] > 0
     assert all(a <= p["x"] < b and c <= p["s"] < d for p in points)
+
+
+@pytest.mark.parametrize("beta", ["7/10", "0.7"])
+def test_lattice_count_reads_the_rect_as_typed(beta):
+    # the point (3, 0) has x = 3*7/10 = 21/10, on the closed left edge 2.1
+    # as typed; the double nearest 2.1 lies above it
+    rc, rep, _ = run_json(["lattice", "count", "--rect", "2.1,4,-0.3,2", "--beta", beta])
+    assert rc == 0
+    assert rep["result"]["count"] == 7
+    assert {"n": 3, "m": 0} in [{k: p[k] for k in "nm"} for p in rep["result"]["points"]]
 
 
 def test_lattice_count_rational_beta():
@@ -285,6 +295,10 @@ def test_audit_over_cap_exits_2_without_int64_wrap():
 
 @pytest.mark.parametrize("argv, status", [
     ("lattice count --beta 1 --rect 0,inf,0,1", 1),
+    ("lattice count --beta 1 --rect nan,1,0,1", 1),
+    ("lattice count --beta 1 --rect 0,1e400,0,1", 1),
+    # an exponent refused before it is expanded into a power of ten
+    ("lattice count --beta 1 --rect 0,1e-999999999,0,1", 1),
     ("lattice count --beta 1 --rect 0,1e300,0,1", 2),
     ("lattice count --beta 1e-300 --rect 0,1,0,1", 2),
     ("lattice audit --mode min --area golden2 --aspect 1:inf", 1),
@@ -336,11 +350,14 @@ def test_frame_scales_far_below_the_band_are_not_an_error():
 
 
 def test_failed_eigensolve_is_a_numerical_error(monkeypatch):
-    # numpy's LinAlgError is a ValueError, but no usage error
+    # numpy's LinAlgError, which scipy.linalg raises too, is a ValueError,
+    # but no usage error
+    import scipy.linalg
+
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
     rc, out, err = run("frame estimate --scheme golden --n 128".split())
     assert (rc, out) == (2, "")
     assert err == "numerical error: Eigenvalues did not converge\n"

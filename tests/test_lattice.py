@@ -26,7 +26,6 @@ from goldwave.lattice import (
     EnumerationCapError,
     _anchored_rects,
     _boxes,
-    _exact_keep,
     _positions,
 )
 
@@ -39,26 +38,66 @@ def index_set(idx: np.ndarray) -> set:
     return set(map(tuple, idx.tolist()))
 
 
-def brute_force(beta: Fraction, rect: Rect, radius: int) -> set:
-    """Independent integer-box scan with exact membership tests.
+def dyadic(e: float) -> tuple[GoldenNumber, int]:
+    """A float edge as the pair (g, q) of the dyadic rational g/q it is."""
+    f = Fraction(e)
+    return GoldenNumber(f.numerator, 0), f.denominator
 
-    For edge e (a float, hence an exact rational) and beta = p/q, membership
-    beta*(n - m*alpha) >= e is the sign of the golden integer
-    p*e_den*n - q*e_num + (-p*e_den*m)*alpha.
+
+def exact_member(beta: Fraction, n: int, m: int, edges) -> bool:
+    """Exact membership of the point (n, m) of beta*Gamma in [a, b) x [c, d),
+    the edges given as pairs (g, q) standing for g/q, g in Z[alpha].
+
+    With beta = p/r, beta*v >= g/q is the sign of the golden integer
+    p*q*v - r*g, for x = n - m*alpha and s = m + n*alpha.
+    """
+    p, r = beta.numerator, beta.denominator
+
+    def at_least(v, edge):
+        g, q = edge
+        return (v * (p * q) - g * r).sign() >= 0
+
+    x, s = GoldenNumber(n, -m), GoldenNumber(m, n)
+    ea, eb, ec, ed = edges
+    return (at_least(x, ea) and not at_least(x, eb)
+            and at_least(s, ec) and not at_least(s, ed))
+
+
+def exact_inside(beta, n, m, a, b, c, d) -> np.ndarray:
+    """Membership of the points (n, m) of beta*Gamma, each in its own
+    rectangle [a, b) x [c, d) (arrays of float edges, one per point), with
+    the float edges and beta read as the dyadic rationals they are.
+
+    A float pre-screen on the compensated coordinates decides the points
+    farther from every edge than 1e-14 of the coordinate plus
+    1e-25*beta*max(|n|, |m|), far above the error of those coordinates
+    (under 4e-16 of the coordinate plus 2**-100*beta*max(|n|, |m|)); every
+    other point gets exact_member.
+    """
+    n, m = np.asarray(n), np.asarray(m)
+    x, s = lattice_coords(n, m)
+    x, s = beta * x, beta * s
+    cancel = 1e-25 * beta * np.maximum(np.abs(n), np.abs(m)) + 1e-300
+    tx, ts = 1e-14 * np.abs(x) + cancel, 1e-14 * np.abs(s) + cancel
+    inside = (x - tx >= a) & (x + tx < b) & (s - ts >= c) & (s + ts < d)
+    outside = (x + tx < a) | (x - tx >= b) | (s + ts < c) | (s - ts >= d)
+    a, b, c, d = (np.broadcast_to(e, n.shape) for e in (a, b, c, d))
+    frac = Fraction(beta)
+    for k in np.flatnonzero(~(inside | outside)).tolist():
+        edges = [dyadic(float(e[k])) for e in (a, b, c, d)]
+        inside[k] = exact_member(frac, int(n[k]), int(m[k]), edges)
+    return inside
+
+
+def brute_force(beta: Fraction, rect: Rect, radius: int) -> set:
+    """Independent integer-box scan with exact membership tests of the
+    float edges, read as exact rationals.
 
     The box is first screened in float: a pair is skipped only when it lies
     more than 1e-6 outside the rectangle, far above the ~1e-11 float error
     of these coordinates, and every pair that is kept gets the exact test.
     """
-    p, q = beta.numerator, beta.denominator
-    out = set()
-    ea, eb, ec, ed = (Fraction(e) for e in rect.edges())
-
-    def at_least(num_int, num_alpha, e):
-        v = GoldenNumber(p * e.denominator * num_int - q * e.numerator,
-                         p * e.denominator * num_alpha)
-        return v.sign() >= 0
-
+    edges = [dyadic(e) for e in rect.edges()]
     box = np.arange(-radius, radius + 1)
     ns, ms = np.meshgrid(box, box, indexing="ij")
     x = float(beta) * (ns - ms * ALPHA_FLOAT)
@@ -66,14 +105,8 @@ def brute_force(beta: Fraction, rect: Rect, radius: int) -> set:
     tol = 1e-6
     near = ((x >= rect.a - tol) & (x < rect.b + tol)
             & (s >= rect.c - tol) & (s < rect.d + tol))
-    for n, m in zip(ns[near].tolist(), ms[near].tolist()):
-        # x = beta*(n - m*alpha) in [ea, eb), s = beta*(m + n*alpha) in [ec, ed)
-        if not at_least(n, -m, ea) or at_least(n, -m, eb):
-            continue
-        if not at_least(m, n, ec) or at_least(m, n, ed):
-            continue
-        out.add((n, m))
-    return out
+    return {(n, m) for n, m in zip(ns[near].tolist(), ms[near].tolist())
+            if exact_member(beta, n, m, edges)}
 
 
 def test_lattice_coords_accuracy():
@@ -275,17 +308,16 @@ def test_count_rects_on_x_translates():
         assert counts[i] == count_in_rect(LatticeSpec(beta=0.618), rect)
 
 
-def index_scan_count(rect: Rect) -> int:
-    """Points of Gamma in ``rect`` from an unreduced scan: the box of indices
-    (n, m) = ((x + alpha*s), (s - alpha*x)) / (1 + alpha**2) over the corners,
-    padded by 2, with the same float membership."""
-    corners = [(x, s) for x in (rect.a, rect.b) for s in (rect.c, rect.d)]
+def index_scan_count(rect: Rect, beta: float = 1.0) -> int:
+    """Points of beta*Gamma in ``rect`` from an unreduced scan: the box of
+    indices (n, m) = ((x + alpha*s), (s - alpha*x)) / (beta*(1 + alpha**2))
+    over the corners, padded by 2, decided by exact_inside."""
+    corners = [(x / beta, s / beta) for x in (rect.a, rect.b) for s in (rect.c, rect.d)]
     ns = [(x + ALPHA_FLOAT * s) / (2 - ALPHA_FLOAT) for x, s in corners]
     ms = [(s - ALPHA_FLOAT * x) / (2 - ALPHA_FLOAT) for x, s in corners]
     n, m = np.meshgrid(np.arange(math.floor(min(ns)) - 2, math.ceil(max(ns)) + 3),
                        np.arange(math.floor(min(ms)) - 2, math.ceil(max(ms)) + 3))
-    x, s = lattice_coords(n, m)
-    return int(np.sum((x >= rect.a) & (x < rect.b) & (s >= rect.c) & (s < rect.d)))
+    return int(exact_inside(beta, n.ravel(), m.ravel(), *rect.edges()).sum())
 
 
 @pytest.mark.parametrize("mode", ["min", "max"])
@@ -325,14 +357,11 @@ def box_candidates(beta, a, b, c, d):
     return owner, u[0, 0] * i + u[0, 1] * j, u[1, 0] * i + u[1, 1] * j
 
 
-def unfiltered_counts(beta, a, b, c, d) -> np.ndarray:
+def exact_counts(beta, a, b, c, d) -> np.ndarray:
     """count_rects without the float filter: every candidate of every box
-    goes through lattice_coords and the IEEE rule."""
+    decided by exact_inside."""
     owner, n, m = box_candidates(beta, a, b, c, d)
-    x, s = lattice_coords(n, m)
-    x *= beta
-    s *= beta
-    inside = (x >= a[owner]) & (x < b[owner]) & (s >= c[owner]) & (s < d[owner])
+    inside = exact_inside(beta, n, m, a[owner], b[owner], c[owner], d[owner])
     return np.bincount(owner[inside], minlength=a.size)
 
 
@@ -350,7 +379,7 @@ def test_float_filter_on_zero_nudge_anchored_rects(mode):
         else:
             a, b, c, d = gx, gx + w, gs, gs + area / w
         counts = count_rects(1.0, a, b, c, d)
-        assert counts.tolist() == unfiltered_counts(1.0, a, b, c, d).tolist()
+        assert counts.tolist() == exact_counts(1.0, a, b, c, d).tolist()
 
 
 @pytest.mark.parametrize("centre", [1e3, 1e6, 1e9, 2.0**40])
@@ -375,7 +404,7 @@ def test_float_filter_at_plain_float_lattice_coordinates(centre, beta):
     a, b, c, d = a[ok], b[ok], c[ok], d[ok]
     counts = count_rects(beta, a, b, c, d)
     assert counts.sum() > k
-    assert counts.tolist() == unfiltered_counts(beta, a, b, c, d).tolist()
+    assert counts.tolist() == exact_counts(beta, a, b, c, d).tolist()
 
 
 def test_float_filter_on_extreme_cover_cells():
@@ -384,14 +413,14 @@ def test_float_filter_on_extreme_cover_cells():
         rects = [cell(delta, k, l).rect for l in (-30, 30) for k in range(-60, 61)]
         a, b, c, d = (np.array(v) for v in zip(*(r.edges() for r in rects)))
         beta = beta_for_delta(delta)
-        assert count_rects(beta, a, b, c, d).tolist() == unfiltered_counts(beta, a, b, c, d).tolist()
+        assert count_rects(beta, a, b, c, d).tolist() == exact_counts(beta, a, b, c, d).tolist()
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.7, 1.3e-3, 123.0])
 def test_float_filter_at_compensated_coordinates_of_large_indices(beta):
     # points near (F_k, F_{k+1}): indices up to 1e10 with x near alpha**k,
-    # so the error of the compensated coordinates, not of x~, sets the
-    # margin; an edge sits on the IEEE rule's value of such a point
+    # where plain float coordinates cancel; an edge sits on fl(beta*x_c),
+    # x_c the compensated coordinate, within ulps of the exact beta*x
     rng = np.random.default_rng(int(beta * 1000))
     k = np.repeat(np.arange(10, 50), 40)
     fib = np.array([fibonacci(int(v)) for v in range(10, 52)], dtype=np.int64)
@@ -412,7 +441,25 @@ def test_float_filter_at_compensated_coordinates_of_large_indices(beta):
     ok = (a < b) & (c < d)
     a, b, c, d = a[ok], b[ok], c[ok], d[ok]
     assert a.size > 1500
-    assert count_rects(beta, a, b, c, d).tolist() == unfiltered_counts(beta, a, b, c, d).tolist()
+    assert count_rects(beta, a, b, c, d).tolist() == exact_counts(beta, a, b, c, d).tolist()
+
+
+def test_edges_on_the_float_product_of_a_lattice_coordinate():
+    # the point (n, 0) at beta = 0.7 has x = n*beta exactly, and the closed
+    # left edge a = fl(n*0.7) rounds it up or down: the point is in only
+    # when a <= n*beta, which comparing fl(beta*x) with a cannot see
+    beta = 0.7
+    n = np.arange(1, 200)
+    a = n * beta
+    s = np.floor(beta * n * ALPHA_FLOAT)
+    a, b, c, d = a, a + 1.3, s - 0.25, s + 1.75
+    want = [index_scan_count(Rect(*e), beta) for e in zip(a, b, c, d)]
+    assert count_rects(beta, a, b, c, d).tolist() == want
+    assert [count_in_rect(LatticeSpec(beta=beta), Rect(*e)) for e in zip(a, b, c, d)] == want
+    inside = [Fraction(float(e)) <= Fraction(beta) * k for e, k in zip(a, n.tolist())]
+    assert 0 < sum(inside) < len(inside)  # both roundings occur
+    for k, edges, want in zip(n.tolist(), zip(a, b, c, d), inside):
+        assert ([k, 0] in enumerate_in_rect(LatticeSpec(beta=beta), Rect(*edges)).tolist()) == want
 
 
 def test_exact_filter_matches_every_candidate_decided_exactly():
@@ -432,7 +479,7 @@ def test_exact_filter_matches_every_candidate_decided_exactly():
         rect = Rect.from_exact((x0, q), (x0 + p * k, q), (s0, q), (s0 + GoldenNumber(p * l, p * j), q))
         beta = Fraction(p, q)
         _, n, m = box_candidates(float(beta), *(np.array([e]) for e in rect.edges()))
-        keep = _exact_keep(n, m, rect, beta)
+        keep = np.array([exact_member(beta, i, j, rect.exact) for i, j in zip(n.tolist(), m.tolist())])
         assert [n0, m0] in np.column_stack([n[keep], m[keep]]).tolist()
         want = sorted(zip(n[keep].tolist(), m[keep].tolist()))
         assert enumerate_in_rect(LatticeSpec(beta=beta), rect).tolist() == [list(v) for v in want]
@@ -449,7 +496,8 @@ def test_exact_filter_on_edges_whose_float_value_cancels():
         for rect in (Rect.from_exact(g, 3, -2, 2), Rect.from_exact(-3, g, -2, 2),
                      Rect.from_exact(-2, 2, g, 3), Rect.from_exact(-2, 2, -3, g)):
             _, n, m = box_candidates(float(beta), *(np.array([e]) for e in rect.edges()))
-            keep = _exact_keep(n, m, rect, beta)
+            keep = np.array([exact_member(beta, i, j, rect.exact)
+                             for i, j in zip(n.tolist(), m.tolist())])
             want = sorted(zip(n[keep].tolist(), m[keep].tolist()))
             assert enumerate_in_rect(LatticeSpec(beta=beta), rect).tolist() == [list(v) for v in want]
 
