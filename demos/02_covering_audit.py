@@ -19,7 +19,7 @@ print(f"check: delta^2 / beta^2 = {delta**2 / beta**2:.6f} "
 print()
 print("A few cells; areas are delta^2 regardless of aspect ratio:")
 for k, l in ((0, 0), (3, -4), (-5, 4)):
-    r = cell(delta, k, l).rect
+    r = cell(delta, k, l)
     print(f"  (k, l) = ({k:2d}, {l:2d})  ->  x in [{r.a:9.3f}, {r.b:9.3f}), "
           f"s in [{r.c:7.3f}, {r.d:7.3f}), area = {r.area:.4f}")
 

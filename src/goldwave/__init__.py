@@ -11,7 +11,7 @@ from .lattice import (
     count_in_rect,
     enumerate_in_rect,
 )
-from .covering import CoverSpec, audit_cover, beta_for_delta, cell, cell_index
+from .covering import audit_cover, beta_for_delta, cell, cell_index
 from .wavelet import (
     MotherWavelet,
     SignalModel,

@@ -57,7 +57,8 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *a, **kw):
-        super().__init__(*a, **kw)
+        # one spelling per flag: a config key is explicit exactly when its flag is in argv
+        super().__init__(*a, allow_abbrev=False, **kw)
         # accept values like "-0.5,0.5,-0.5,0.5" and "-20:20" after flags
         self._negative_number_matcher = re.compile(r"^-\d")
 
@@ -203,29 +204,17 @@ def build_parser() -> _Parser:
     return p
 
 
-def _options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """dest -> argparse action of every option of the parsed command (the
-    top-level one where a global flag is repeated after the subcommand)."""
-    options = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for dest, sub in _options(action.choices[getattr(args, action.dest)], args).items():
-                options.setdefault(dest, sub)
-        elif hasattr(args, action.dest):
-            options[action.dest] = action
-    return options
-
-
-def _load_config(path: str, args: argparse.Namespace, argv: list[str], parser) -> None:
-    """Apply key = value pairs from a file, converted and checked as the
-    matching flag's value would be; explicit flags keep priority."""
-    options = _options(parser, args)
+def _with_config(parser: _Parser, argv: list[str], path: str) -> argparse.Namespace:
+    """Parse argv again with each key = value line of the file appended as
+    --key=value, so the flag's own type and choices read the value; a flag
+    spelled in argv keeps priority, and one the command lacks is unknown."""
     explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    flags, unknown_key = [], {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -233,20 +222,16 @@ def _load_config(path: str, args: argparse.Namespace, argv: list[str], parser) -
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        action = options.get(key.replace("-", "_"))
-        if action is None:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        if "--" + key.replace("_", "-") in explicit:
-            continue
-        default_type = type(action.default)
-        convert = action.type or (default_type if default_type in (int, float) else str)
-        try:
-            value = convert(value)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise UsageError(f"{path}:{lineno}: {key}: invalid value {value!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"{path}:{lineno}: {key} must be one of {list(action.choices)}")
-        setattr(args, action.dest, value)
+        if "--" + key not in explicit:
+            flags.append(flag := f"--{key}={value}")
+            unknown_key.setdefault(flag, f"{path}:{lineno}: unknown config key {key!r}")
+    try:
+        args, unknown = parser.parse_known_args(argv + flags)
+    except UsageError as exc:  # argv parsed alone, so the file's value is at fault
+        raise UsageError(f"{path}: {exc}") from None
+    if unknown:
+        raise UsageError(unknown_key[unknown[0]])
+    return args
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -449,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _load_config(args.config, args, argv, parser)
+            args = _with_config(parser, argv, args.config)
         handlers = {
             ("lattice", "count"): _cmd_lattice_count,
             ("lattice", "audit"): _cmd_lattice_audit,

@@ -24,8 +24,6 @@ from .goldenring import ALPHA_FLOAT
 from .lattice import _DEFAULT_CAP, EnumerationCapError, Rect, count_rects
 
 __all__ = [
-    "CoverSpec",
-    "Cell",
     "CoverAudit",
     "cell",
     "cell_index",
@@ -34,51 +32,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoverSpec:
-    delta: float
-
-    def __post_init__(self):
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class Cell:
-    k: int
-    l: int
-    rect: Rect
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
 def _scale_interval(delta: float, l: int) -> tuple[float, float]:
     return math.exp(delta * l), math.exp(delta * (l + 1))
 
 
-def cell(spec: CoverSpec | float, k: int, l: int) -> Cell:
+def cell(delta: float, k: int, l: int) -> Rect:
     """The covering cell with indices (k, l)."""
-    delta = spec.delta if isinstance(spec, CoverSpec) else CoverSpec(spec).delta
+    _check_delta(delta)
     s_lo, s_hi = _scale_interval(delta, l)
-    length = s_hi - s_lo
-    w = delta * delta / length
-    return Cell(k, l, Rect(k * w, (k + 1) * w, s_lo, s_hi))
+    w = delta * delta / (s_hi - s_lo)
+    return Rect(k * w, (k + 1) * w, s_lo, s_hi)
 
 
-def cell_index(point: tuple[float, float], spec: CoverSpec | float) -> tuple[int, int]:
-    """Indices of the unique cell containing (x, s); requires s > 0."""
-    delta = spec.delta if isinstance(spec, CoverSpec) else CoverSpec(spec).delta
+def cell_index(point: tuple[float, float], delta: float) -> tuple[int, int]:
+    """Indices of the cell whose ``cell`` rectangle contains (x, s); requires s > 0."""
+    _check_delta(delta)
     x, s = point
     if not s > 0:
         raise ValueError(f"point must lie in the upper half-plane, got s={s}")
+    # the rounded quotients may miss by one at an edge: step against the
+    # edges exactly as cell() computes them
     l = math.floor(math.log(s) / delta)
     s_lo, s_hi = _scale_interval(delta, l)
-    # float guard at interval boundaries
     if s < s_lo:
         l -= 1
         s_lo, s_hi = _scale_interval(delta, l)
     elif s >= s_hi:
         l += 1
         s_lo, s_hi = _scale_interval(delta, l)
-    k = math.floor(x * (s_hi - s_lo) / (delta * delta))
+    w = delta * delta / (s_hi - s_lo)
+    k = math.floor(x / w)
+    if x < k * w:
+        k -= 1
+    elif x >= (k + 1) * w:
+        k += 1
     return k, l
 
 
@@ -91,8 +83,7 @@ def beta_for_delta(delta: float) -> float:
     beta = delta / sqrt(2 + alpha).  Any smaller beta keeps every cell
     nonempty (the minimum-area bound is monotone in area).
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     return delta / math.sqrt(2.0 + ALPHA_FLOAT)
 
 
@@ -126,7 +117,7 @@ def audit_cover(
     central rows.  Raises EnumerationCapError for more cells than the
     enumeration cap, or for a row whose cells leave the double-precision range.
     """
-    spec = CoverSpec(delta)
+    _check_delta(delta)
     if beta is None:
         beta = beta_for_delta(delta)
     if not 0 < beta < math.inf:
@@ -143,8 +134,8 @@ def audit_cover(
     rows = []
     for l in range(l_lo, l_hi + 1):
         try:
-            s_lo, s_hi = _scale_interval(spec.delta, l)
-            width = spec.delta**2 / (s_hi - s_lo)
+            s_lo, s_hi = _scale_interval(delta, l)
+            width = delta**2 / (s_hi - s_lo)
         except (OverflowError, ZeroDivisionError):
             width = math.inf
         if not 0 < width < math.inf:
@@ -157,7 +148,7 @@ def audit_cover(
              for i in np.flatnonzero(counts == 0)[:1000]]
     values, freqs = np.unique(counts, return_counts=True)
     return CoverAudit(
-        delta=spec.delta,
+        delta=delta,
         beta=float(beta),
         k_range=(k_lo, k_hi),
         l_range=(l_lo, l_hi),

@@ -51,7 +51,6 @@ __all__ = [
     "count_rects",
     "audit_min_count",
     "audit_max_count",
-    "diophantine_gap",
     "diophantine_bound_holds",
 ]
 
@@ -501,7 +500,6 @@ class CountAudit:
     max_count: int
     witness_min: Rect
     witness_max: Rect
-    seed: int
     histogram: dict[int, int] = field(default_factory=dict)
 
 
@@ -589,7 +587,6 @@ def _run_audit(area, trials, seed, aspect_range, center_range, anchor_mode):
         max_count=int(counts[i_max]),
         witness_min=Rect(float(a[i_min]), float(b[i_min]), float(c[i_min]), float(d[i_min])),
         witness_max=Rect(float(a[i_max]), float(b[i_max]), float(c[i_max]), float(d[i_max])),
-        seed=seed,
         histogram={int(v): int(f) for v, f in zip(values, freqs)},
     )
 
@@ -620,19 +617,6 @@ def audit_max_count(
 
 # ---------------------------------------------------------------------------
 # Diophantine structure
-
-
-def diophantine_gap(n: int, m: int) -> float:
-    """|n*alpha + m|, evaluated without catastrophic cancellation.
-
-    Uses |n*alpha + m| = |m**2 - m*n - n**2| / |m - n*phi|: the numerator is
-    the exact integer field norm, the denominator has no cancellation.  The
-    result is >= 1 / ((3 + 2*alpha) * |n|) for every nonzero n.
-    """
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    norm = abs(m * m - m * n - n * n)
-    return norm / abs(m - n * _PHI)
 
 
 def diophantine_bound_holds(n: int, m: int) -> bool:

@@ -275,7 +275,6 @@ class DecayReport:
     l2_weighted: float
     l2_passed: bool
     grid: LogGrid
-    threshold: float
 
     @property
     def all_passed(self) -> bool:
@@ -342,7 +341,7 @@ def decay_condition_report(
         and integrand[:ntail].max() < 1e-9 * peak
         and integrand[-ntail:].max() < 1e-9 * peak
     )
-    return DecayReport(conditions, total, l2_ok, grid, threshold)
+    return DecayReport(conditions, total, l2_ok, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -381,28 +380,6 @@ class SignalModel:
     @classmethod
     def zeros(cls, length: int, duration: float) -> SignalModel:
         return cls(length, duration, np.zeros(length // 2 - 1, dtype=complex))
-
-    @classmethod
-    def from_time_samples(cls, samples: np.ndarray, duration: float) -> SignalModel:
-        """Project time samples onto the model; rejects signals with more
-        than 1e-9 of their energy at bin 0, the Nyquist bin, or negative
-        frequencies."""
-        samples = np.asarray(samples, dtype=complex)
-        n = samples.size
-        spec = np.fft.fft(samples) / math.sqrt(n)
-        total = float(np.sum(np.abs(spec) ** 2))
-        inside = float(np.sum(np.abs(spec[1 : n // 2]) ** 2))
-        if total > 0 and (total - inside) > 1e-9 * total:
-            raise ValueError(
-                "signal has energy outside the strictly positive frequency band"
-            )
-        # orthonormal-exponential coefficients: unitary DFT times sqrt(T/N) scaling
-        return cls(n, duration, spec[1 : n // 2] * 1.0)
-
-    def to_time_samples(self) -> np.ndarray:
-        buf = np.zeros(self.length, dtype=complex)
-        buf[1 : self.length // 2] = self.coeffs
-        return np.fft.ifft(buf) * math.sqrt(self.length)
 
     @cached_property
     def bins(self) -> np.ndarray:

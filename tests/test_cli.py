@@ -230,6 +230,22 @@ def test_config_file_with_flag_override(tmp_path):
     rc, _, err = run(["--config", str(bad), "cover", "audit", "--delta", "0.25"])
     assert rc == 1
     assert "unknown config key" in err
+    # flags are spelled in full: an abbreviation is not taken for --delta
+    rc, out, err = run(["--config", str(cfg), "cover", "audit", "--del", "0.25"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    # a global flag wins over the file before or after the subcommand
+    seeded = tmp_path / "seed.cfg"
+    seeded.write_text("seed = 5\ntrials = 50\n")
+    audit = ["lattice", "audit", "--mode", "min", "--area", "golden2"]
+    for argv in (["--seed", "7", "--config", str(seeded), *audit],
+                 ["--config", str(seeded), *audit, "--seed", "7"],
+                 ["--config", str(seeded), *audit, "--seed=7"]):
+        rc, rep, _ = run_json(argv)
+        assert rc == 0
+        assert (rep["config"]["seed"], rep["config"]["trials"]) == (7, 50)
+    rc, rep, _ = run_json(["--config", str(seeded), *audit])
+    assert rep["config"]["seed"] == 5
 
 
 def test_config_none_default_keys_take_the_flag_type(tmp_path):

@@ -3,27 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from goldwave.covering import (
-    CoverSpec,
-    audit_cover,
-    beta_for_delta,
-    cell,
-    cell_index,
-)
+from goldwave.covering import audit_cover, beta_for_delta, cell, cell_index
 from goldwave.goldenring import ALPHA_FLOAT
 
 
 def test_cover_spec_validation():
-    with pytest.raises(ValueError):
-        CoverSpec(0.0)
-    with pytest.raises(ValueError):
-        CoverSpec(-0.3)
+    for delta in (0.0, -0.3, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cell(delta, 0, 0)
+        with pytest.raises(ValueError):
+            cell_index((1.0, 1.0), delta)
+        with pytest.raises(ValueError):
+            audit_cover(delta, k_range=(0, 0), l_range=(0, 0))
 
 
 def test_cell_geometry():
     for delta in (0.25, 0.5, 1.0):
         for k, l in [(0, 0), (3, -2), (-7, 5)]:
-            r = cell(delta, k, l).rect
+            r = cell(delta, k, l)
             assert r.area == pytest.approx(delta**2, rel=1e-12)
             assert r.c == pytest.approx(math.exp(delta * l))
             assert r.d == pytest.approx(math.exp(delta * (l + 1)))
@@ -32,22 +29,29 @@ def test_cell_geometry():
 def test_cells_tile_without_overlap():
     # consecutive cells share edges exactly: [k w, (k+1) w) abut
     delta = 0.4
-    r0 = cell(delta, 0, 2).rect
-    r1 = cell(delta, 1, 2).rect
+    r0 = cell(delta, 0, 2)
+    r1 = cell(delta, 1, 2)
     assert r0.b == r1.a
-    up = cell(delta, 0, 3).rect
+    up = cell(delta, 0, 3)
     assert up.c == pytest.approx(r0.d)
 
 
 def test_cell_index_roundtrip():
     rng = np.random.default_rng(0)
-    for delta in (0.3, 0.7):
-        for _ in range(300):
-            x = float(rng.uniform(-50, 50))
-            s = float(np.exp(rng.uniform(-6, 6)))
-            k, l = cell_index((x, s), delta)
-            r = cell(delta, k, l).rect
-            assert r.a <= x < r.b and r.c <= s < r.d
+    for delta in (0.25, 0.3, 0.7):
+        points = [(float(rng.uniform(-50, 50)), float(np.exp(rng.uniform(-6, 6))))
+                  for _ in range(300)]
+        # each cell's edges and the floats just below them, where a rounded
+        # quotient can floor into the neighbouring cell
+        ks = rng.integers(-10**6, 10**6, size=200).tolist()
+        ls = rng.integers(-40, 40, size=200).tolist()
+        for k, l in [(274, 14), *zip(ks, ls)]:
+            r = cell(delta, k, l)
+            xs = (r.a, r.b, math.nextafter(r.a, -math.inf), math.nextafter(r.b, -math.inf))
+            points += [(x, s) for x in xs for s in (r.c, math.nextafter(r.d, -math.inf))]
+        for x, s in points:
+            r = cell(delta, *cell_index((x, s), delta))
+            assert r.a <= x < r.b and r.c <= s < r.d, (delta, x, s)
 
 
 def test_cell_index_rejects_lower_half():
@@ -98,7 +102,7 @@ def test_audit_matches_per_cell_enumeration():
     total = 0
     for l in range(-3, 4):
         for k in range(-6, 7):
-            total += count_in_rect(LatticeSpec(beta=beta), cell(delta, k, l).rect)
+            total += count_in_rect(LatticeSpec(beta=beta), cell(delta, k, l))
     hist_total = sum(int(v) * int(c) for v, c in audit.histogram.items())
     assert total == hist_total
 
@@ -116,7 +120,7 @@ def test_audit_counts_exactly_the_cells(monkeypatch, delta):
     ks, ls = range(-500, 501), range(-30, 31)
     audit_cover(delta, k_range=(-500, 500), l_range=(-30, 30))
     got = np.column_stack(seen[0])
-    expected = np.array([cell(delta, k, l).rect.edges() for l in ls for k in ks])
+    expected = np.array([cell(delta, k, l).edges() for l in ls for k in ks])
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     a, b = (e.reshape(len(ls), len(ks)) for e in seen[0][:2])
     assert np.array_equal(b[:, :-1], a[:, 1:])

@@ -16,7 +16,6 @@ from goldwave.lattice import (
     count_in_rect,
     count_rects,
     diophantine_bound_holds,
-    diophantine_gap,
     enumerate_in_rect,
     lattice_coords,
 )
@@ -338,7 +337,7 @@ def test_count_rects_on_extreme_cover_cells():
     # rows |l| = 30 at delta = 1: cells of aspect ratio ~1e26
     beta = beta_for_delta(1.0)
     for l in (-30, 30):
-        rects = [cell(1.0, k, l).rect for k in range(-40, 41)]
+        rects = [cell(1.0, k, l) for k in range(-40, 41)]
         a, b, c, d = (np.array(v) for v in zip(*(r.edges() for r in rects)))
         counts = count_rects(beta, a, b, c, d)
         assert counts.min() >= 1 and counts.max() <= 12
@@ -410,7 +409,7 @@ def test_float_filter_at_plain_float_lattice_coordinates(centre, beta):
 def test_float_filter_on_extreme_cover_cells():
     # rows |l| = 30: indices near 1e13 cancel to coordinates near 1e-13
     for delta in (0.5, 1.0):
-        rects = [cell(delta, k, l).rect for l in (-30, 30) for k in range(-60, 61)]
+        rects = [cell(delta, k, l) for l in (-30, 30) for k in range(-60, 61)]
         a, b, c, d = (np.array(v) for v in zip(*(r.edges() for r in rects)))
         beta = beta_for_delta(delta)
         assert count_rects(beta, a, b, c, d).tolist() == exact_counts(beta, a, b, c, d).tolist()
@@ -550,15 +549,6 @@ def test_audit_reproducible():
     a1 = audit_min_count(AREA_MIN, 500, seed=4)
     a2 = audit_min_count(AREA_MIN, 500, seed=4)
     assert a1 == a2
-
-
-def test_diophantine_gap_convergents():
-    # convergent pairs realize the near-optimal gaps
-    for k in range(2, 40):
-        n, m = fibonacci(k), -fibonacci(k - 1)
-        gap = diophantine_gap(n, m)
-        assert gap >= 1.0 / ((3 + 2 * ALPHA_FLOAT) * n) * (1 - 1e-12)
-        assert gap <= 1.0 / n  # convergents approximate well
 
 
 def test_diophantine_bound_exact():

@@ -164,24 +164,6 @@ def test_signal_model_validation():
             SignalModel.zeros(64, duration)
 
 
-def test_time_roundtrip_and_norm():
-    rng = np.random.default_rng(1)
-    f = random_signal(rng)
-    samples = f.to_time_samples()
-    g = SignalModel.from_time_samples(samples, f.duration)
-    assert np.allclose(g.coeffs, f.coeffs, atol=1e-12)
-    # Parseval between coefficient norm and sample norm
-    assert f.norm() ** 2 == pytest.approx(np.sum(np.abs(samples) ** 2), rel=1e-12)
-
-
-def test_from_time_samples_rejects_leakage():
-    n = 128
-    t = np.arange(n)
-    real_cosine = np.cos(2 * np.pi * 5 * t / n)  # negative-frequency energy
-    with pytest.raises(ValueError):
-        SignalModel.from_time_samples(real_cosine, 16.0)
-
-
 def test_cauchy_profile_is_zero_where_its_power_overflows():
     # xi**p overflows and exp(-xi) underflows: the true value is below the
     # float range, so 0 with no warning instead of inf * 0 = nan
