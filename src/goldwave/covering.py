@@ -53,6 +53,8 @@ def cell_index(point: tuple[float, float], delta: float) -> tuple[int, int]:
     """Indices of the cell whose ``cell`` rectangle contains (x, s); requires s > 0."""
     _check_delta(delta)
     x, s = point
+    if not (math.isfinite(x) and math.isfinite(s)):
+        raise ValueError(f"point must be finite, got {point}")
     if not s > 0:
         raise ValueError(f"point must lie in the upper half-plane, got s={s}")
     # the rounded quotients may miss by one at an edge: step against the

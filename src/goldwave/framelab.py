@@ -4,9 +4,9 @@ A sample set is a finite family of phase-space points (x, s), s > 0, inside
 a rectangular region.  Two constructions are provided: the scaled golden
 lattice beta * Gamma intersected with the region, and the classical dyadic
 scheme {(a**-j * l * b, a**j)}.  The frame operator of the induced wavelet
-family is applied in the frequency domain, and its spectral extremes on a
-band-restricted subspace (the empirical frame bounds) come from one dense
-Hermitian eigensolve.
+family is applied in the frequency domain; its spectral extremes on a
+band-restricted subspace (the empirical frame bounds) are eigenvalues of
+the band Gram matrix, in a bracket that two Cholesky tests prove.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class FrameEstimate:
-    """Empirical frame bounds on a band-restricted subspace.  ``iterations``
-    is always 0: the solve is direct."""
+    """Empirical frame bounds on a band-restricted subspace and their proved
+    bracket (``residuals``).  ``iterations`` is always 0: the solve is direct."""
 
     lower: float
     upper: float
@@ -194,16 +194,14 @@ def guard_band(
 ) -> tuple[int, int]:
     """Interior frequency band (bin indices, inclusive) with a guard margin.
 
-    Atoms at scale s concentrate near frequency s * xi_peak; scales within
-    ``guard_octaves`` of the region's s-extremes are excluded so that
-    region-truncation effects do not contaminate the band.
+    Atoms at scale s concentrate near frequency s * w.xi_peak; scales
+    within ``guard_octaves`` of the region's s-extremes are excluded so
+    that region-truncation effects do not contaminate the band.
     """
-    grid = np.exp(np.linspace(math.log(1e-4), math.log(100.0), 20001))
-    xi_peak = float(grid[np.argmax(np.abs(w(grid)))])
     try:
         g = 2.0**guard_octaves
-        xi_lo = region.c * g * xi_peak
-        xi_hi = region.d / g * xi_peak
+        xi_lo = region.c * g * w.xi_peak
+        xi_hi = region.d / g * w.xi_peak
         j_lo = max(1, math.ceil(xi_lo * model.duration))
         j_hi = min(model.length // 2 - 2, math.floor(xi_hi * model.duration))
     except (OverflowError, ZeroDivisionError):
@@ -217,8 +215,53 @@ def guard_band(
     return j_lo, j_hi
 
 
-# largest relative eigen-residual ||G v - lambda v|| / B that counts as solved
-_RESIDUAL_TOL = 1e-10
+def _band_gram(w: MotherWavelet, points: np.ndarray, model: SignalModel,
+               band: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """The upper triangle of G~ = fl(M^T conj(M)), M the atom rows on the
+    band, summed by ``zherk`` over the row blocks of ``_row_blocks`` into a
+    Fortran-ordered array, and a bound on ||G~ - G||_2 for the exact G.
+    With k = points + blocks + 4 (each block adds one sum), |G~ - G| <=
+    gamma_k |M|^T |M| entrywise, so ||G~ - G||_2 <= gamma_k tr G <=
+    k*u * tr G~ * (1 + 2**-6) + 2**-1000, as in ``_cholesky_floor``."""
+    from scipy.linalg import blas
+
+    dim = band[1] - band[0] + 1
+    g = np.zeros((dim, dim), dtype=complex, order="F")
+    blocks = list(_row_blocks(len(points), dim))
+    for rows in blocks:  # zherk adds each block's part to g in place
+        m = _atom_matrix(w, points[rows], model, band)
+        g = blas.zherk(1.0, m.T, beta=1.0, c=g, overwrite_c=1)
+    k = len(points) + len(blocks) + 4
+    return g, k * 2.0**-53 * float(g.real.trace()) * (1 + 2**-6) + 2.0**-1000
+
+
+def _cholesky_floor(h: np.ndarray, estimate: float) -> float:
+    """sigma - c, a proved lower bound on the smallest eigenvalue of the
+    Hermitian h, if floating-point Cholesky of h - sigma*I completes at
+    sigma = estimate - c; else -inf.  Reads the upper triangle of h, which
+    must be Fortran-ordered, and overwrites it.
+
+    Proof (Rump, BIT 46, 2006; Higham, "Accuracy and Stability", Thm 10.3),
+    u = 2**-53, n = dim, g = gamma_{n+4} (n-term sums in any order, so
+    blocked LAPACK on conventional BLAS too; complex products within
+    gamma_3): a completed factor R of H = fl(h - sigma*I) has R^H R = H + D,
+    |D| <= g |R^H| |R|, so ||D||_2 <= g ||R||_F^2 = g tr(H + D) <=
+    g/(1-g) tr H.  As R^H R >= 0 and H is off h - sigma*I by u|h_ii - sigma|,
+    lambda_min(h) >= sigma - c for
+        c = (n + 8)*u * (sum|h_ii| + n*|estimate|) * (1 + 2**-6) + 2**-1000:
+    n + 4 for D, 1 for the diagonal, 3 for rounding sigma, sigma - c and the
+    caller's shift; 2**-6 covers 1/(1-2g), n*c and rounding c for
+    n <= 2**20; 2**-1000 all underflow.  The margin c far exceeds an
+    eigensolver's error, so a good estimate passes.
+    """
+    from scipy.linalg import lapack
+
+    n, diag = h.shape[0], np.diag_indices(h.shape[0])
+    t = float(np.abs(h[diag]).sum()) + n * abs(estimate)
+    c = (n + 8) * 2.0**-53 * t * (1 + 2**-6) + 2.0**-1000
+    sigma = estimate - c
+    h[diag] -= sigma
+    return sigma - c if lapack.zpotrf(h, overwrite_a=1, clean=0)[1] == 0 else -math.inf
 
 
 def estimate_bounds(
@@ -227,52 +270,47 @@ def estimate_bounds(
     model: SignalModel,
     band: tuple[int, int],
 ) -> FrameEstimate:
-    """Frame bounds of the sample set on the band subspace.
+    """Frame bounds of the sample set on the band subspace, and a proved bracket.
 
     A and B are the extreme eigenvalues of the band Gram matrix
-    G = M^T conj(M), the frame operator restricted to the band, from one
-    dense Hermitian eigensolve; M is built from the factors of ``cwt`` and
-    ``frame_operator_apply`` (``wavelet._atom_factors``).  The certificate
-    is the larger relative eigen-residual ||G v - lambda v|| / B of the two
-    extreme pairs; ``converged`` holds when it is at most 1e-10 and A is
-    resolved, A > dim * eps * B.  Fewer points than band dimensions raises
-    RankDeficiencyError rather than returning a structurally-zero A.
+    G = M^T conj(M), the frame operator restricted to the band, M the atom
+    rows of ``_atom_matrix``.  G is summed block by block (``_band_gram``),
+    so at most one block of M is held, and only eigenvalues are computed.
+    Fewer points than band dimensions raises RankDeficiencyError rather
+    than returning a structurally-zero A.
+
+    ``residuals`` holds ``resolution_floor``, dim * eps * B, and A_lo and
+    B_hi: no eigenvalue of the exact Gram matrix of the computed atoms lies
+    outside [A_lo, B_hi].  ``_cholesky_floor`` bounds the computed G~ from
+    below near A and -G~ near -B (a failed test gives -inf or inf); each
+    bound then moves out by ``_band_gram``'s bound on ||G~ - G||_2, since
+    by Weyl's inequality no eigenvalue moves further.  ``converged`` holds
+    when both tests pass and A_lo > 0.  The rounding of the atoms
+    themselves, a few ulps per coefficient in ``_atom_factors``, is not
+    covered: that bound is not proved.
     """
     if not 1 <= band[0] <= band[1] <= model.length // 2 - 2:
         raise ValueError(f"band {band} not strictly inside the model bins")
-    m = _atom_matrix(w, sset.points, model, band)
-    npts, dim = m.shape
+    pts = sset.points
+    npts, dim = len(pts), band[1] - band[0] + 1
     if npts < dim:
         raise RankDeficiencyError(
             f"{npts} sample points cannot frame a {dim}-dimensional band; "
             "the lower bound is structurally zero"
         )
-    # zherk forms G's upper triangle only (half of m.T @ m.conj()); eigh shares its BLAS.
     # Imported here: loading scipy.linalg would add 0.1 s to every other command.
-    from scipy.linalg import blas, eigh
+    from scipy.linalg import eigh
 
-    lam, vecs = eigh(blas.zherk(1.0, m.T), lower=False, driver="evd", overwrite_a=True,
-                     check_finite=False)
+    g, gram_err = _band_gram(w, pts, model, band)
+    lam = eigh(g, lower=False, eigvals_only=True, check_finite=False)
     lower, upper = float(lam[0]), float(lam[-1])
-    ends = vecs[:, [0, -1]]
-    g_ends = m.T @ (m @ ends.conj()).conj()  # G @ ends, from M itself
-    misfit = float(np.linalg.norm(g_ends - ends * lam[[0, -1]], axis=0).max())
-    residual = misfit / upper if upper > 0 else math.inf
-    floor = dim * math.ulp(1.0) * upper  # dim * eps * B
+    a_lo = _cholesky_floor(g.copy(order="F"), lower) - gram_err
+    b_hi = gram_err - _cholesky_floor(np.negative(g, out=g), -upper)
     return FrameEstimate(
-        lower=lower,
-        upper=upper,
-        ratio=upper / lower if lower > 0 else math.inf,
-        iterations=0,
-        residuals={
-            "method": "dense-eigh",
-            "rel_residual": residual,
-            "residual_tol": _RESIDUAL_TOL,
-            "resolution_floor": floor,
-        },
-        restricted_band=(int(band[0]), int(band[1])),
-        converged=residual <= _RESIDUAL_TOL and lower > floor,
-    )
+        lower=lower, upper=upper, ratio=upper / lower if lower > 0 else math.inf, iterations=0,
+        residuals={"method": "eigvalsh+cholesky", "A_lo": a_lo, "B_hi": b_hi,
+                   "resolution_floor": dim * math.ulp(1.0) * upper},  # dim * eps * B
+        restricted_band=(int(band[0]), int(band[1])), converged=a_lo > 0 and b_hi < math.inf)
 
 
 def _match_dyadic_density(target: int, a: float, region: Rect) -> SampleSet:

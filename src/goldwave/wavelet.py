@@ -96,6 +96,12 @@ class MotherWavelet:
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         return self.profile(np.asarray(xi, dtype=float))
 
+    @cached_property
+    def xi_peak(self) -> float:
+        """Where |G| peaks on 20,001 log-spaced points of [1e-4, 100]; kept."""
+        grid = np.exp(np.linspace(math.log(1e-4), math.log(100.0), 20001))
+        return float(grid[np.argmax(np.abs(self(grid)))])
+
     def _window(self, model: SignalModel, s: float) -> np.ndarray:
         """conj(G(freqs / s)) on the model's bins, built once per scale."""
         grid = (model.length, model.duration)
@@ -464,13 +470,21 @@ def _atom_matrix(
 ) -> np.ndarray:
     """Stacked atom coefficient rows for many phase-space points, on the bins
     j_lo .. j_hi of ``band`` (inclusive; all model bins by default): the
-    product of the factors of ``_atom_factors``, cut to the band."""
+    product of the factors of ``_atom_factors``, written straight into a
+    C-contiguous (points, bins) array: the whole coarse rows, then the rest."""
     zc, zf, col = _atom_factors(w, points, model, band)
+    npts, fine = zf.shape
     nbins = model.length // 2 - 1 if band is None else band[1] - band[0] + 1
-    width = zc.shape[1] * zf.shape[1]
-    phase = (zc[:, :, None] * zf[:, None, :]).reshape(-1, width)[:, :nbins]
-    # cut to the band before the last product, so the rows come out contiguous
-    return phase * col.reshape(col.shape[:-2] + (width,))[..., :nbins]
+    out = np.empty((npts, nbins), dtype=complex)
+    whole = nbins // fine
+    head = np.reshape(out[:, : whole * fine], (npts, whole, fine), copy=False)
+    np.multiply(zc[:, :whole, None], zf[:, None, :], out=head)
+    head *= col[..., :whole, :]
+    tail = out[:, whole * fine :]
+    if tail.size:
+        np.multiply(zc[:, whole, None], zf[:, : tail.shape[1]], out=tail)
+        tail *= col[..., whole, : tail.shape[1]]
+    return out
 
 
 # Atom rows are built in blocks of about this many coefficients (512 KB), so

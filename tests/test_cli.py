@@ -33,7 +33,7 @@ def test_lattice_count_basic():
     assert rc == 0
     assert rep["result"]["count"] == 1
     assert rep["result"]["points"][0]["n"] == 0
-    assert rep["schema_version"] == 2
+    assert rep["schema_version"] == 3
     assert rep["config"]["beta"] == "1"
 
 
@@ -377,6 +377,32 @@ def test_failed_eigensolve_is_a_numerical_error(monkeypatch):
     rc, out, err = run("frame estimate --scheme golden --n 128".split())
     assert (rc, out) == (2, "")
     assert err == "numerical error: Eigenvalues did not converge\n"
+
+
+def test_failed_cholesky_test_is_an_unconverged_report(monkeypatch):
+    # a bracket that cannot be proved is a result, converged: false with
+    # exit 2 and the whole report, not a numerical error
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", lambda a, **kwargs: (a, 1))
+    rc, rep, err = run_json("frame estimate --scheme golden --n 128".split())
+    assert (rc, err) == (2, "")
+    result = rep["result"]
+    assert result["converged"] is False
+    assert result["A"] > 0
+    assert result["diagnostics"]["A_lo"] == "-inf"
+    assert result["diagnostics"]["B_hi"] == "inf"
+
+
+def test_frame_estimate_brackets_its_bounds():
+    rc, rep, _ = run_json("frame estimate --scheme golden --n 1024 --smax 0.1".split())
+    result = rep["result"]
+    diag = result["diagnostics"]
+    assert rc == 0 and result["converged"] is True
+    assert 0 < diag["A_lo"] <= result["A"] <= result["B"] <= diag["B_hi"]
+    assert result["A"] - diag["A_lo"] <= 1e-8 * result["B"]
+    assert diag["B_hi"] - result["B"] <= 1e-8 * result["B"]
+    assert set(diag) == {"method", "A_lo", "B_hi", "resolution_floor"}
 
 
 # values for any numeric flag: valid, extreme, non-finite and malformed

@@ -59,6 +59,9 @@ def test_cell_index_rejects_lower_half():
         cell_index((0.0, 0.0), 0.5)
     with pytest.raises(ValueError):
         cell_index((1.0, -2.0), 0.5)
+    for point in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="point must be finite"):
+            cell_index(point, 0.5)
 
 
 def test_beta_for_delta_invariant():

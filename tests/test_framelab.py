@@ -8,6 +8,8 @@ import goldwave.wavelet
 from goldwave.covering import beta_for_delta
 from goldwave.framelab import (
     RankDeficiencyError,
+    _band_gram,
+    _cholesky_floor,
     _match_dyadic_density,
     SampleSet,
     analysis,
@@ -430,6 +432,65 @@ def test_repeated_point_is_not_converged():
     assert est.upper > 0
     assert est.converged is False
     assert est.lower <= est.residuals["resolution_floor"]
+
+
+def test_repeated_point_bracket_is_not_positive():
+    model, _, band = small_setup()
+    dim = band[1] - band[0] + 1
+    sset = SampleSet(np.tile([[100.0, 0.01]], (dim, 1)), {"scheme": "repeated"})
+    est = estimate_bounds(sset, W, model, band)
+    assert est.converged is False
+    assert est.residuals["A_lo"] <= 0 <= est.upper <= est.residuals["B_hi"]
+
+
+@pytest.mark.parametrize("w", [W, gaussian_bump_wavelet(1.0, 0.3)], ids=["cauchy", "bump"])
+def test_blocked_gram_matches_one_product(w):
+    from scipy.linalg import blas
+
+    model, region, band = small_setup()
+    dim = band[1] - band[0] + 1
+    step = _BLOCK_COEFFS // dim
+    pts = golden_sample_set(0.35, region).points
+    m = _atom_matrix(w, pts, model, band)
+    assert m.flags.c_contiguous
+    # fewer points than one block, exactly one, several with a short last one
+    for npts in (step // 2, step, 3 * step + step // 3):
+        dense = np.triu(blas.zherk(1.0, m[:npts].T))
+        g, err = _band_gram(w, pts[:npts], model, band)
+        norm = np.linalg.eigvalsh(dense, UPLO="U")[-1]
+        assert np.abs(np.triu(g) - dense).max() <= 1e-14 * norm, npts
+        # the rounding bound holds, and counts each block's extra sum
+        assert np.linalg.norm(np.triu(g) - dense, 2) <= err
+        trace = np.trace(dense).real
+        assert err >= (npts + -(-npts // step) + 4) * 2.0**-53 * trace
+
+
+def test_cholesky_floor_refuses_a_planted_negative_eigenvalue():
+    model, region, band = small_setup(n=512, duration=512.0)
+    g = _band_gram(W, golden_sample_set(0.35, region).points, model, band)[0]
+    lam, vecs = np.linalg.eigh(g, UPLO="U")
+    assert 0 < _cholesky_floor(g.copy(order="F"), lam[0]) <= lam[0]
+    assert _cholesky_floor(-g, -lam[-1]) <= -lam[-1]
+    # move the smallest eigenvalue to -1e-9 * B; every other one stays
+    v = vecs[:, :1]
+    planted = np.asfortranarray(g - (lam[0] + 1e-9 * lam[-1]) * (v @ v.conj().T))
+    for claim in (lam[0], lam[1], 0.0):
+        assert _cholesky_floor(planted.copy(order="F"), claim) == -math.inf
+
+
+def test_cholesky_floor_stays_below_a_raised_eigenvalue():
+    # [[16, 15], [15, 16]] has eigenvalues 1 and 31 exactly.  Cholesky alone
+    # accepts some shifts a few ulps above 1, so a test without the slack
+    # would certify them; the floor never exceeds 1, nor -31 for -g.
+    from scipy.linalg import lapack
+
+    g = np.array([[16.0, 15.0], [15.0, 16.0]], dtype=complex, order="F")
+    claims = [1.0 + k * 2.0**-52 for k in range(400)]
+    bare = [lapack.zpotrf(g - c * np.eye(2), clean=0)[1] == 0 for c in claims[1:5]]
+    assert any(bare)
+    floors = [_cholesky_floor(g.copy(order="F"), c) for c in claims]
+    assert max(floors) <= 1.0 and floors[0] > 1.0 - 1e-12
+    assert -31.0 - 1e-12 < _cholesky_floor(-g, -31.0) <= -31.0
 
 
 def test_estimate_bounds_validation():
