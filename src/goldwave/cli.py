@@ -204,8 +204,20 @@ def build_parser() -> _Parser:
     return p
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The value of the last --config in argv, read before parsing, so that a
+    file can supply a required flag; None if argv has none."""
+    path = None
+    for i, tok in enumerate(argv):
+        if tok == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+        elif tok.startswith("--config="):
+            path = tok[len("--config="):]
+    return path
+
+
 def _with_config(parser: _Parser, argv: list[str], path: str) -> argparse.Namespace:
-    """Parse argv again with each key = value line of the file appended as
+    """Parse argv with each key = value line of the file appended as
     --key=value, so the flag's own type and choices read the value; a flag
     spelled in argv keeps priority, and one the command lacks is unknown."""
     explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
@@ -227,10 +239,16 @@ def _with_config(parser: _Parser, argv: list[str], path: str) -> argparse.Namesp
             unknown_key.setdefault(flag, f"{path}:{lineno}: unknown config key {key!r}")
     try:
         args, unknown = parser.parse_known_args(argv + flags)
-    except UsageError as exc:  # argv parsed alone, so the file's value is at fault
+    except UsageError as exc:
+        try:  # the file is at fault unless argv alone fails the same way
+            parser.parse_known_args(argv)
+        except UsageError as own:
+            if str(own) == str(exc):
+                raise
         raise UsageError(f"{path}: {exc}") from None
     if unknown:
-        raise UsageError(unknown_key[unknown[0]])
+        raise UsageError(unknown_key.get(unknown[0],
+                                         f"unrecognized arguments: {' '.join(unknown)}"))
     return args
 
 
@@ -355,16 +373,7 @@ def _cmd_wavelet_check(args) -> tuple[dict, int]:
         "family": args.family,
         "constructible": True,
         "admissibility_constant": c_psi,
-        "conditions": [
-            {
-                "name": c.name,
-                "tail_sup_low": c.tail_sup_low,
-                "tail_sup_high": c.tail_sup_high,
-                "threshold": c.threshold,
-                "passed": c.passed,
-            }
-            for c in rep.conditions
-        ],
+        "conditions": [vars(c) for c in rep.conditions],  # name, tail sups, threshold, passed
         "l2_weighted": rep.l2_weighted,
         "l2_passed": rep.l2_passed,
         "passed": rep.all_passed and abs(c_psi - 1.0) < 1e-6,
@@ -417,7 +426,7 @@ def _cmd_frame_estimate(args) -> tuple[dict, int]:
         "B": est.upper,
         "ratio": est.ratio,
         "converged": est.converged,
-        "diagnostics": est.residuals,
+        "diagnostics": est.diagnostics,
     })
     return base, 0 if est.converged else 2
 
@@ -438,9 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            args = _with_config(parser, argv, args.config)
+        path = _config_path(argv)
+        args = parser.parse_args(argv) if path is None else _with_config(parser, argv, path)
         handlers = {
             ("lattice", "count"): _cmd_lattice_count,
             ("lattice", "audit"): _cmd_lattice_audit,

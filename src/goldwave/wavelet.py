@@ -12,7 +12,8 @@ the strictly positive frequency bins 1 .. N/2 - 1.  Bin 0 and the Nyquist
 bin are excluded so the model sits inside the analytic signal space.
 
 Every atom is built by ``_atom_factors`` over bins split as j = j_c + r: a
-factor per point and coarse bin j_c, one per point and offset r, and a third
+factor per coarse bin j_c, one per offset r, both laid out (bins, points)
+with phases that are powers of three exponentials per point, and a third
 that, for a Cauchy wavelet G(xi) = c * xi**p * exp(-xi), all points share.
 So ``cwt`` and the frame operator of framelab never multiply them out into
 the atom rows of ``_atom_matrix`` for it.
@@ -31,6 +32,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+
+from .lattice import _two_prod
 
 __all__ = [
     "LogGrid",
@@ -422,6 +425,30 @@ def atom_spectrum(
     )
 
 
+def _turns(x: np.ndarray, duration: float, mult: tuple[int, ...]) -> np.ndarray:
+    """x * k / T reduced to within half a turn, rows k of ``mult`` by columns
+    x, each within 2**-54 of its exact value.  With T = t * 2**e, 1/2 <= t < 1,
+    x mod T scaled by 2**-e times k is exactly p + err (Dekker), and p mod t,
+    taken to within t/2, is exact too, so only the last sum and the division
+    round (and any underflow, below 2**-1070 turns)."""
+    t, e = math.frexp(duration)
+    p, err = _two_prod(np.ldexp(np.fmod(x, duration), -e), np.array(mult, dtype=float)[:, None])
+    rem = np.fmod(p, t)
+    rem -= t * np.rint(rem / t)  # exact (Sterbenz)
+    return (rem + err) / t
+
+
+def _powers(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
+    """The rows first * ratio**k, k = 0 .. n-1, by doubling: rows k .. 2k-1
+    are rows 0 .. k-1 times ratio**k, one product over the whole block."""
+    out = np.empty((n, ratio.size), dtype=complex)
+    out[0], k = first, 1
+    while k < n:
+        np.multiply(out[: min(k, n - k)], ratio, out=out[k : 2 * k])
+        k, ratio = 2 * k, ratio * ratio
+    return out
+
+
 def _atom_factors(
     w: MotherWavelet,
     points: np.ndarray,
@@ -432,34 +459,38 @@ def _atom_factors(
     ``band`` (inclusive; all model bins by default), in factored form.
 
     With bins split as j = j_c + r, j_c = j_lo + R*q, R = isqrt(bins), r < R,
-    and ts = T*s, the atom at point k = (x, s) has the coefficient
-    zc[k, q] * zf[k, r] * col[..., q, r] on bin j.  zc and zf hold the
-    phases exp(-2*pi*i*x*j_c/T), x*j_c/T reduced to within half a turn, and
-    exp(-2*pi*i*x*r/T); col[k, q, r] holds the amplitude G(j/ts) / sqrt(ts).
+    t = x/T and ts = T*s, the atom at point k = (x, s) has the coefficient
+    zc[q, k] * zf[r, k] * col[q, r, ...] on bin j.  The phases are powers of
+    three per-point exponentials, each of a turn reduced by ``_turns``:
+    zf[r] = e**r with e = exp(-2*pi*i*t), and zc[q] = exp(-2*pi*i*t*j_lo) *
+    exp(-2*pi*i*t*R)**q.  col[q, r, k] holds the amplitude G(j/ts) / sqrt(ts).
     A Cauchy wavelet, G(xi) = c*xi**p*exp(-xi), has exactly G(j/ts) =
-    G(j_c/ts) * (1 + r/j_c)**p * exp(-r/ts): zc and zf take the outer two
-    factors and 1/sqrt(ts), and col[q, r] = (1 + r/j_c)**p is shared by all
-    points.  Each factor is good to a few ulps and col is at most R**p, so
-    the rounding stays relative to each coefficient.  The last coarse row
-    may run past j_hi; callers pad or drop those slots.
+    G(j_c/ts) * (1 + r/j_c)**p * exp(-r/ts): e takes the factor exp(-1/ts),
+    zc takes G(j_c/ts) / sqrt(ts), and col[q, r] = (1 + r/j_c)**p is shared
+    by all points.  The last coarse row may run past j_hi; callers pad or
+    drop those slots.
+
+    Accuracy (measured, not proved): a power adds its base's error of about
+    an ulp once per step, so a coefficient is off the exact atom (x*j/T
+    reduced exactly) by about q + r ulps.  At the N = 16384 band edges of
+    the frame commands (q, r < 33; ``tests/test_wavelet.py``): at most 66
+    ulps, median 12, against 9,035 and 400 from plain products x/T * j.
     """
     j_lo, j_hi = (1, model.length // 2 - 1) if band is None else band
     nbins = j_hi - j_lo + 1
     fine = math.isqrt(nbins)
     j_c = j_lo + fine * np.arange(-(-nbins // fine))
     r = np.arange(fine)
-    turns = points[:, 0:1] / model.duration
-    t_coarse = turns * j_c
-    t_coarse -= np.rint(t_coarse)
-    zc = np.exp(-2j * np.pi * t_coarse)
-    spin = -2j * np.pi * turns
-    ts = model.duration * points[:, 1:2]
+    ts = model.duration * points[:, 1]
+    e, e_r, e_lo = np.exp(-2j * np.pi * _turns(points[:, 0], model.duration, (1, fine, j_lo)))
+    zc = _powers(e_lo, e_r, j_c.size)
     if w.cauchy_order is None:
-        col = w((j_c[:, None] + r).ravel() / ts)
+        col = w((j_c[:, None] + r).ravel()[:, None] / ts)
         col /= np.sqrt(ts)
-        return zc, np.exp(spin * r), col.reshape(len(points), j_c.size, fine)
-    zc *= w(j_c / ts) / np.sqrt(ts)
-    return zc, np.exp(r * (spin - 1.0 / ts)), (1.0 + r / j_c[:, None]) ** w.cauchy_order
+        return zc, _powers(1.0, e, fine), col.reshape(j_c.size, fine, len(points))
+    zc *= w(j_c[:, None] / ts) / np.sqrt(ts)
+    e *= np.exp(-1.0 / ts)
+    return zc, _powers(1.0, e, fine), (1.0 + r / j_c[:, None]) ** w.cauchy_order
 
 
 def _atom_matrix(
@@ -470,27 +501,20 @@ def _atom_matrix(
 ) -> np.ndarray:
     """Stacked atom coefficient rows for many phase-space points, on the bins
     j_lo .. j_hi of ``band`` (inclusive; all model bins by default): the
-    product of the factors of ``_atom_factors``, written straight into a
-    C-contiguous (points, bins) array: the whole coarse rows, then the rest."""
+    product of the factors of ``_atom_factors``, written into a C-contiguous
+    (bins, points) array, the slots past j_hi included, and returned as its
+    transposed (points, bins) view."""
     zc, zf, col = _atom_factors(w, points, model, band)
-    npts, fine = zf.shape
     nbins = model.length // 2 - 1 if band is None else band[1] - band[0] + 1
-    out = np.empty((npts, nbins), dtype=complex)
-    whole = nbins // fine
-    head = np.reshape(out[:, : whole * fine], (npts, whole, fine), copy=False)
-    np.multiply(zc[:, :whole, None], zf[:, None, :], out=head)
-    head *= col[..., :whole, :]
-    tail = out[:, whole * fine :]
-    if tail.size:
-        np.multiply(zc[:, whole, None], zf[:, : tail.shape[1]], out=tail)
-        tail *= col[..., whole, : tail.shape[1]]
-    return out
+    out = np.multiply(zc[:, None, :], zf)
+    out *= col if col.ndim == 3 else col[..., None]
+    return out.reshape(zc.shape[0] * zf.shape[0], len(points))[:nbins].T
 
 
-# Atom rows are built in blocks of about this many coefficients (512 KB), so
-# that a block and its temporaries (about 2 MB) stay in a core's L2 cache
-# instead of passing through memory.
-_BLOCK_COEFFS = 1 << 15
+# Atom rows are built in blocks of about this many coefficients (4 MB): at
+# N = 1024 a frame command's whole point set is one block, and larger sets
+# keep one block and its factors, not the whole atom matrix.
+_BLOCK_COEFFS = 1 << 18
 
 
 def _row_blocks(npts: int, nbins: int):
@@ -503,20 +527,20 @@ def _row_blocks(npts: int, nbins: int):
 
 def _cauchy_cwt(factors, coeffs: np.ndarray) -> np.ndarray:
     """<f, atom> for the Cauchy atoms of ``_atom_factors`` and f with these
-    coefficients: the conjugate of rowsum(zc * (zf @ (col * V).T)), V the
+    coefficients: the conjugate of colsum(zc * ((col * V) @ zf)), V the
     conjugated coefficients on the (coarse, R) grid, zero-padded."""
     zc, zf, col = factors
     v = np.zeros(col.size, dtype=complex)
     v[: coeffs.size] = coeffs.conj()
-    return (zc * (zf @ (col * v.reshape(col.shape)).T)).sum(axis=1).conj()
+    return (zc * ((col * v.reshape(col.shape)) @ zf)).sum(axis=0).conj()
 
 
 def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarray:
     """Wavelet coefficients <f, atom(x, s)> at the given phase-space points.
 
     A Cauchy wavelet needs only the factors of ``_atom_factors``: one
-    (points x R) by (R x coarse) product, weighted by zc and summed over
-    the row, with no (points x bins) array.  Other wavelets build atom
+    (coarse x R) by (R x points) product, weighted by zc and summed over
+    the coarse bins, with no (bins x points) array.  Other wavelets build atom
     rows in blocks of about _BLOCK_COEFFS coefficients.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))

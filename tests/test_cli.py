@@ -248,6 +248,22 @@ def test_config_file_with_flag_override(tmp_path):
     assert rep["config"]["seed"] == 5
 
 
+def test_config_file_supplies_a_required_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 0.5\nk = -3:3\nl = -1:1\n")
+    for argv in (["--config", str(cfg), "cover", "audit"],
+                 ["cover", "audit", f"--config={cfg}"]):
+        rc, rep, _ = run_json(argv)
+        assert rc == 0
+        assert rep["config"]["delta"] == 0.5
+    rc, rep, _ = run_json(["--config", str(cfg), "cover", "audit", "--delta", "0.25"])
+    assert rc == 0
+    assert rep["config"]["delta"] == 0.25  # an explicit flag still wins
+    # without the file, the flag is required
+    rc, out, err = run(["cover", "audit", "--k", "-3:3", "--l", "-1:1"])
+    assert (rc, out) == (1, "") and "--delta" in err
+
+
 def test_config_none_default_keys_take_the_flag_type(tmp_path):
     cfg = tmp_path / "cover.cfg"
     cfg.write_text("beta = 0.3\nk = -3:3\nl = -1:1\n")

@@ -183,7 +183,8 @@ def test_frame_operator_blocks_match_one_product():
     bump = gaussian_bump_wavelet()
     rng = np.random.default_rng(12)
     model, region, _ = small_setup()
-    sset = golden_sample_set(0.7, region)
+    sset = golden_sample_set(0.35, region)
+    assert len(sset) > 2 * (_BLOCK_COEFFS // (model.length // 2 - 1))  # several blocks
     assert len(sset) % (_BLOCK_COEFFS // (model.length // 2 - 1)) != 0  # a partial last block
     atoms = _atom_matrix(bump, sset.points, model)
     f = random_signal(rng, model)
@@ -431,7 +432,7 @@ def test_repeated_point_is_not_converged():
     est = estimate_bounds(sset, W, model, band)
     assert est.upper > 0
     assert est.converged is False
-    assert est.lower <= est.residuals["resolution_floor"]
+    assert est.lower <= est.diagnostics["resolution_floor"]
 
 
 def test_repeated_point_bracket_is_not_positive():
@@ -440,19 +441,20 @@ def test_repeated_point_bracket_is_not_positive():
     sset = SampleSet(np.tile([[100.0, 0.01]], (dim, 1)), {"scheme": "repeated"})
     est = estimate_bounds(sset, W, model, band)
     assert est.converged is False
-    assert est.residuals["A_lo"] <= 0 <= est.upper <= est.residuals["B_hi"]
+    assert est.diagnostics["A_lo"] <= 0 <= est.upper <= est.diagnostics["B_hi"]
 
 
 @pytest.mark.parametrize("w", [W, gaussian_bump_wavelet(1.0, 0.3)], ids=["cauchy", "bump"])
 def test_blocked_gram_matches_one_product(w):
     from scipy.linalg import blas
 
-    model, region, band = small_setup()
+    model, region, band = small_setup(n=4096, duration=4096.0, smax=0.06)
     dim = band[1] - band[0] + 1
     step = _BLOCK_COEFFS // dim
     pts = golden_sample_set(0.35, region).points
+    assert len(pts) >= 3 * step + step // 3
     m = _atom_matrix(w, pts, model, band)
-    assert m.flags.c_contiguous
+    assert m.T.flags.c_contiguous  # laid out bins x points, the points contiguous
     # fewer points than one block, exactly one, several with a short last one
     for npts in (step // 2, step, 3 * step + step // 3):
         dense = np.triu(blas.zherk(1.0, m[:npts].T))

@@ -1,10 +1,13 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from goldwave.framelab import SampleSet, analysis
+from goldwave.framelab import SampleSet, analysis, guard_band
+from goldwave.lattice import Rect
 from goldwave.wavelet import (
     LogGrid,
     MotherWavelet,
@@ -249,6 +252,81 @@ def test_atom_matrix_rows_match_atom_spectrum(n, w, xi_peak):
             assert np.all(np.abs(row - ref) <= tol)
 
 
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097")
+
+
+def exact_cauchy_atom(p, x, s, duration, j):
+    """The coefficient xi**p * exp(-xi) / sqrt(T*s) * exp(-2*pi*i*x*j/T),
+    xi = j / (T*s), of the unnormalized Cauchy atom at (x, s) on bin j, as a
+    pair of Decimals good to about 40 digits: x*j/T is reduced to within half
+    a turn exactly in Fractions, and exp(-i*angle) is its Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 45
+        dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)  # noqa: E731
+        ts = Fraction(duration) * Fraction(s)
+        turns = Fraction(x) * j / Fraction(duration)
+        xi = Fraction(j) / ts
+        amp = dec(xi ** int(p)) * (-dec(xi)).exp() / dec(ts).sqrt()
+        angle = 2 * _PI * dec(turns - round(turns))  # |angle| <= pi
+        re = im = Decimal(0)
+        term_re, term_im, k = Decimal(1), Decimal(0), 0
+        while abs(term_re) + abs(term_im) > Decimal(10) ** -45:
+            re, im, k = re + term_re, im + term_im, k + 1
+            term_re, term_im = term_im * angle / k, -term_re * angle / k
+        return amp * re, amp * im
+
+
+def atom_errors(duration, npts=24):
+    """|atom - exact| / |exact| in units of eps = 2**-52, for the atoms of
+    ``_atom_matrix`` at the N = 16384 band edges of the frame commands (smax
+    0.06, six octaves): the first R and the last 2R bins, where the power
+    chains of ``_atom_factors`` are longest.  Scales are multiples of 2**-20,
+    so that T*s is exact, with the profile's peak inside the band; positions
+    cover [0, T), both ends and beyond."""
+    n, p = 16384, 6.0
+    model = SignalModel.zeros(n, duration)
+    j_lo, j_hi = band = guard_band(cauchy_wavelet(p), Rect(0.0, duration, 0.06 / 64, 0.06), model)
+    rng = np.random.default_rng(int(duration))
+    x = np.concatenate([rng.uniform(0.0, duration, npts - 4),
+                        [duration * (1 - 2.0**-40), 1e-9, -2.3 * duration, 5.7 * duration + 0.1]])
+    ts = np.exp(rng.uniform(math.log(j_lo / p), math.log(j_hi / p), npts))
+    s = np.ldexp(np.round(np.ldexp(ts / duration, 20)), -20)
+    atoms = _atom_matrix(cauchy_wavelet(p, normalize=False), np.column_stack([x, s]), model, band)
+    fine = math.isqrt(j_hi - j_lo + 1)
+    cols = [*range(fine), *range(j_hi - j_lo + 1 - 2 * fine, j_hi - j_lo + 1)]
+    errors = []
+    for row, xk, sk in zip(atoms, x, s):
+        for c in cols:
+            re, im = exact_cauchy_atom(p, xk, sk, duration, j_lo + c)
+            got = row[c]
+            diff = ((Decimal(got.real) - re) ** 2 + (Decimal(got.imag) - im) ** 2).sqrt()
+            errors.append(float(diff / (re * re + im * im).sqrt()) / 2.0**-52)
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("duration", [16384.0, 10000.0])
+def test_atoms_match_exactly_reduced_phases(duration):
+    # the bound _atom_factors states.  Measured on these sets: at most 50
+    # and 66 ulps, median 12 for both.  The kernel that took x*j/T in plain
+    # floats was off by up to 9,035 and 6,623 ulps, median 400 and 231.
+    errors = atom_errors(duration)
+    assert errors.max() <= 100
+    assert np.median(errors) <= 16
+
+
+@pytest.mark.parametrize("duration", [1e-300, 2.0**1000, 1.7e308])
+def test_atom_matrix_at_extreme_durations(duration):
+    # the turns x*j/T are split exactly whatever the scale of x and T
+    w = cauchy_wavelet(6.0)
+    model = SignalModel.zeros(64, duration)
+    pts = np.array([[0.3, 4.0], [0.9, 1.0], [-0.7, 2.0]]) * [duration, 1 / duration]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        atoms = _atom_matrix(w, pts, model)
+    ref = np.array([atom_spectrum(w, x, s, model) for x, s in pts])
+    assert np.abs(atoms - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_atom_matrix_empty_points():
     w = cauchy_wavelet(6.0)
     model = SignalModel.zeros(64, 8.0)
@@ -260,7 +338,8 @@ def test_cwt_blocks_match_one_product():
     rng = np.random.default_rng(11)
     w = gaussian_bump_wavelet(1.0, 0.1)  # the dense path, in blocks of atom rows
     f = random_signal(rng)
-    npts = 300
+    npts = 2500
+    assert npts > 2 * (_BLOCK_COEFFS // f.coeffs.size)  # several blocks
     assert npts % (_BLOCK_COEFFS // f.coeffs.size) != 0  # a partial last block
     pts = np.column_stack([rng.uniform(0, 64, npts), np.exp(rng.uniform(-3, 0, npts))])
     ref = _atom_matrix(w, pts, f).conj() @ f.coeffs
