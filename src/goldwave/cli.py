@@ -22,6 +22,7 @@ from numpy.linalg import LinAlgError
 
 from .covering import audit_cover
 from .framelab import (
+    DYADIC_BASE,
     RankDeficiencyError,
     comparison_to_csv,
     compare_schemes,
@@ -195,7 +196,7 @@ def build_parser() -> _Parser:
     fe.add_argument("--scheme", choices=["golden", "dyadic"], required=True)
     fe.add_argument("--delta", type=_finite, default=0.35)
     fe.add_argument("--beta", type=_finite, default=None)
-    fe.add_argument("--a", type=_finite, default=2.0, help="dyadic scale base")
+    fe.add_argument("--a", type=_finite, default=DYADIC_BASE, help="dyadic scale base")
     fe.add_argument("--b", type=_finite, default=1.0, help="dyadic translation step")
     add_model_flags(fe)
     fc = frsub.add_parser("compare", parents=[shared], help="golden vs density-matched dyadic table")
@@ -234,6 +235,8 @@ def _with_config(parser: _Parser, argv: list[str], path: str) -> argparse.Namesp
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":  # --config is always in argv, so the line would be skipped
+            raise UsageError(f"{path}:{lineno}: a config file cannot name another one")
         if "--" + key not in explicit:
             flags.append(flag := f"--{key}={value}")
             unknown_key.setdefault(flag, f"{path}:{lineno}: unknown config key {key!r}")

@@ -21,8 +21,7 @@ import numpy as np
 from .covering import beta_for_delta
 from .lattice import _DEFAULT_CAP, EnumerationCapError, LatticeSpec, Rect
 from .lattice import enumerate_in_rect, lattice_coords
-from .wavelet import MotherWavelet, SignalModel, _atom_matrix, _row_blocks, cwt
-from .wavelet import _atom_factors, _cauchy_cwt, _read_only
+from .wavelet import MotherWavelet, SignalModel, _Atoms, _atom_blocks, _read_only
 
 __all__ = [
     "SampleSet",
@@ -39,6 +38,9 @@ __all__ = [
 ]
 
 
+DYADIC_BASE = 2.0**0.25  # frame compare's dyadic rows and frame estimate's default --a
+
+
 class RankDeficiencyError(Exception):
     """Fewer sample points than band dimensions: the lower bound is
     structurally zero, not a numerical result."""
@@ -48,32 +50,26 @@ class RankDeficiencyError(Exception):
 class SampleSet:
     """Finite set of phase-space points with construction provenance.
 
-    ``points`` is a read-only copy of the array passed in, so the set keeps
-    the factored Cauchy atoms of its points (``wavelet._atom_factors``) after
-    their first use, for every later signal: one entry, keyed by the wavelet
-    and the model's length and duration, that a new key replaces.  It holds
-    points * (coarse + R) complex values, R = isqrt(N/2 - 1): about 44 MB at
-    N = T = 16384 and 14,964 points, where atom rows would take 2 GB.
+    ``points`` is a read-only copy of the (k, 2) array of (x, s) pairs
+    passed in.  The set keeps the ``wavelet._Atoms`` of its points from
+    their first use on, in one slot keyed by the wavelet and the model's
+    length and duration: for a Cauchy wavelet 44 MB at N = T = 16384 and
+    14,964 points, where atom rows would take 2 GB.
     """
 
     points: np.ndarray
     provenance: dict
-    _cauchy: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _atoms: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(-1, 2)
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
-        if pts.size and np.any(pts[:, 1] <= 0):
-            raise ValueError("all scales must be positive")
-        object.__setattr__(self, "points", _read_only(pts))
+        object.__setattr__(self, "points", _read_only(_Atoms.checked(np.array(self.points, float))))
 
-    def _cauchy_factors(self, w: MotherWavelet, model: SignalModel):
-        """The Cauchy atom factors (zc, zf, col) at the points, built once."""
-        key, entry = (w, model.length, model.duration), self._cauchy
+    def _atoms_for(self, w: MotherWavelet, model: SignalModel) -> _Atoms:
+        """The atoms at the points for w on the model's grid, built once."""
+        key, entry = (w, model.length, model.duration), self._atoms
         if entry is None or entry[0] != key:  # a local entry: right under threads too
-            entry = key, tuple(map(_read_only, _atom_factors(w, self.points, model)))
-            object.__setattr__(self, "_cauchy", entry)
+            entry = key, _Atoms(w, self.points, model)
+            object.__setattr__(self, "_atoms", entry)
         return entry[1]
 
     def __len__(self) -> int:
@@ -157,33 +153,14 @@ def dyadic_sample_set(a: float, b: float, region: Rect) -> SampleSet:
 
 
 def analysis(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> np.ndarray:
-    """``cwt`` of f at the sample points, from their cached Cauchy factors."""
-    if w.cauchy_order is not None:
-        return _cauchy_cwt(sset._cauchy_factors(w, f), f.coeffs)
-    return cwt(f, w, sset.points)
+    """``cwt`` of f at the sample points, from the set's kept atoms."""
+    return sset._atoms_for(w, f).analyze(f.coeffs)
 
 
 def frame_operator_apply(f: SignalModel, sset: SampleSet, w: MotherWavelet) -> SignalModel:
-    """S f = sum over sample points of <f, atom> * atom, in the model.
-
-    For a Cauchy wavelet, with u the vector of <f, atom>, the sum is
-    col * ((zc * u) @ zf.T) on the (coarse, R) bin grid, exactly, since
-    each atom coefficient is zc[q, k] * zf[r, k] * col[q, r] with col
-    shared by all points (``wavelet._atom_factors``, cached on the set); no
-    atom matrix is formed.  Other wavelets sum over blocks of atom rows.
-    """
-    pts = sset.points
-    if w.cauchy_order is not None:
-        factors = zc, zf, col = sset._cauchy_factors(w, f)
-        u = _cauchy_cwt(factors, f.coeffs)
-        sf = col * ((zc * u) @ zf.T)
-        return SignalModel(f.length, f.duration, sf.ravel()[: f.coeffs.size])
-    out = np.zeros(f.coeffs.shape, dtype=complex)
-    fc = f.coeffs.conj()
-    for rows in _row_blocks(pts.shape[0], fc.size):
-        atoms = _atom_matrix(w, pts[rows], f)
-        out += (atoms @ fc).conj() @ atoms
-    return SignalModel(f.length, f.duration, out)
+    """S f = sum over sample points of <f, atom> * atom, in the model:
+    ``wavelet._Atoms.frame_operator`` on the set's kept atoms."""
+    return SignalModel(f.length, f.duration, sset._atoms_for(w, f).frame_operator(f.coeffs))
 
 
 def guard_band(
@@ -218,7 +195,7 @@ def guard_band(
 def _band_gram(w: MotherWavelet, points: np.ndarray, model: SignalModel,
                band: tuple[int, int]) -> tuple[np.ndarray, float]:
     """The upper triangle of G~ = fl(M^T conj(M)), M the atom rows on the
-    band, summed by ``zherk`` over the row blocks of ``_row_blocks`` into a
+    band, summed by ``zherk`` over the blocks of ``_atom_blocks`` into a
     Fortran-ordered array, and a bound on ||G~ - G||_2 for the exact G.
     zherk takes each Fortran-ordered block as it is and adds M^H M = conj(G).
     With k = points + blocks + 4 (each block adds one sum), |G~ - G| <=
@@ -228,12 +205,12 @@ def _band_gram(w: MotherWavelet, points: np.ndarray, model: SignalModel,
 
     dim = band[1] - band[0] + 1
     g = np.zeros((dim, dim), dtype=complex, order="F")
-    blocks = list(_row_blocks(len(points), dim))
-    for rows in blocks:  # zherk adds each block's part to g in place
-        m = _atom_matrix(w, points[rows], model, band)
+    blocks = 0
+    for _, m in _atom_blocks(w, points, model, band):  # zherk adds each block to g in place
         g = blas.zherk(1.0, m, beta=1.0, c=g, trans=2, overwrite_c=1)
+        blocks += 1
     np.conjugate(g, out=g)
-    k = len(points) + len(blocks) + 4
+    k = len(points) + blocks + 4
     return g, k * 2.0**-53 * float(g.real.trace()) * (1 + 2**-6) + 2.0**-1000
 
 
@@ -347,14 +324,14 @@ def compare_schemes(
     """Golden vs density-matched dyadic frame bounds for each delta.
 
     For every delta the golden set at beta(delta) is built, then a dyadic
-    set of base 2**0.25 with the same region and a point count matched
+    set of base DYADIC_BASE with the same region and a point count matched
     within 2%, and ``estimate_bounds`` is run on both.  Rows are plain dicts
     ready for CSV or JSON serialization.
     """
     rows = []
     for delta in delta_list:
         golden = golden_sample_set(delta, region)
-        dyadic = _match_dyadic_density(len(golden), 2.0**0.25, region)
+        dyadic = _match_dyadic_density(len(golden), DYADIC_BASE, region)
         prov = dyadic.provenance
         for sset, label in ((golden, f"beta={golden.provenance['beta']:.6g}"),
                             (dyadic, f"a={prov['a']:.6g},b={prov['b']:.6g}")):

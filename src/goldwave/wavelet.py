@@ -15,8 +15,8 @@ Every atom is built by ``_atom_factors`` over bins split as j = j_c + r: a
 factor per coarse bin j_c, one per offset r, both laid out (bins, points)
 with phases that are powers of three exponentials per point, and a third
 that, for a Cauchy wavelet G(xi) = c * xi**p * exp(-xi), all points share.
-So ``cwt`` and the frame operator of framelab never multiply them out into
-the atom rows of ``_atom_matrix`` for it.
+``_Atoms`` alone chooses between those factors and the blocked atom rows of
+``_atom_blocks``, for ``cwt`` and framelab's operators alike.
 
 ``cwt_regular`` takes one scale row as one inverse FFT of the coefficients
 times the window conj(G(freqs / s)), which the wavelet keeps (see
@@ -511,54 +511,73 @@ def _atom_matrix(
     return out.reshape(zc.shape[0] * zf.shape[0], len(points))[:nbins].T
 
 
-# Atom rows are built in blocks of about this many coefficients (4 MB): at
-# N = 1024 a frame command's whole point set is one block, and larger sets
-# keep one block and its factors, not the whole atom matrix.
-_BLOCK_COEFFS = 1 << 18
+_BLOCK_COEFFS = 1 << 18  # 4 MB of atom coefficients
 
 
-def _row_blocks(npts: int, nbins: int):
-    """Slices of range(npts) whose atom rows of nbins bins hold about
-    _BLOCK_COEFFS coefficients each."""
+def _atom_blocks(w: MotherWavelet, points: np.ndarray, model: SignalModel,
+                 band: tuple[int, int] | None = None):
+    """(rows, ``_atom_matrix`` of points[rows]) over slices of about
+    _BLOCK_COEFFS coefficients, each built when reached: a large set holds
+    one block, not all its atoms; a frame command's set at N = 1024 is one."""
+    nbins = model.length // 2 - 1 if band is None else band[1] - band[0] + 1
     step = max(1, _BLOCK_COEFFS // nbins)
-    for lo in range(0, npts, step):
-        yield slice(lo, lo + step)
+    for lo in range(0, len(points), step):
+        yield slice(lo, lo + step), _atom_matrix(w, points[lo : lo + step], model, band)
 
 
-def _cauchy_cwt(factors, coeffs: np.ndarray) -> np.ndarray:
-    """<f, atom> for the Cauchy atoms of ``_atom_factors`` and f with these
-    coefficients: the conjugate of colsum(zc * ((col * V) @ zf)), V the
-    conjugated coefficients on the (coarse, R) grid, zero-padded."""
-    zc, zf, col = factors
-    v = np.zeros(col.size, dtype=complex)
-    v[: coeffs.size] = coeffs.conj()
-    return (zc * ((col * v.reshape(col.shape)) @ zf)).sum(axis=0).conj()
+class _Atoms:
+    """A wavelet's atoms at many points on one model grid, as the analysis
+    map T f = (<f, atom_k>)_k and the frame operator S f = T* T f, held as
+    decided once, here: a Cauchy wavelet keeps the read-only factors of
+    ``_atom_factors``.  With V the conjugated coefficients on the (coarse, R)
+    bin grid, zero-padded, T f = conj(colsum(zc * ((col * V) @ zf))); atom k
+    is zc[q, k] * zf[r, k] * col[q, r] on bin j_c + r, so S f = col * ((zc *
+    T f) @ zf.T) exactly.  Others sum over ``_atom_blocks``; no f is kept."""
+
+    def __init__(self, w: MotherWavelet, points: np.ndarray, model: SignalModel):
+        self._w, self._points = w, points
+        self._grid = SignalModel.zeros(model.length, model.duration)
+        self._factors = (None if w.cauchy_order is None
+                         else tuple(map(_read_only, _atom_factors(w, points, model))))
+
+    @staticmethod
+    def checked(points: np.ndarray | list) -> np.ndarray:
+        """points as a (k, 2) float array, k >= 0, of finite (x, s), s > 0."""
+        pts = np.asarray(points, dtype=float)
+        pts = pts.reshape(0, 2) if pts.shape == (0,) else pts
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"points must be a (k, 2) array of (x, s) pairs, got {pts.shape}")
+        if not (np.isfinite(pts).all() and np.all(pts[:, 1] > 0)):
+            raise ValueError("points must be finite, with all scales positive")
+        return pts
+
+    def analyze(self, coeffs: np.ndarray) -> np.ndarray:
+        """T f, for f with these coefficients on the grid's bins."""
+        fc = coeffs.conj()
+        if self._factors is None:
+            out = np.empty(len(self._points), dtype=complex)
+            for rows, atoms in _atom_blocks(self._w, self._points, self._grid):
+                out[rows] = atoms @ fc
+            return out.conj()
+        zc, zf, col = self._factors
+        v = np.zeros(col.size, dtype=complex)
+        v[: fc.size] = fc
+        return (zc * ((col * v.reshape(col.shape)) @ zf)).sum(axis=0).conj()
+
+    def frame_operator(self, coeffs: np.ndarray) -> np.ndarray:
+        """The coefficients of S f, for f with these coefficients."""
+        if self._factors is None:
+            out, fc = np.zeros(coeffs.shape, dtype=complex), coeffs.conj()
+            for _, atoms in _atom_blocks(self._w, self._points, self._grid):
+                out += (atoms @ fc).conj() @ atoms
+            return out
+        zc, zf, col = self._factors
+        return (col * ((zc * self.analyze(coeffs)) @ zf.T)).ravel()[: coeffs.size]
 
 
 def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarray:
-    """Wavelet coefficients <f, atom(x, s)> at the given phase-space points.
-
-    A Cauchy wavelet needs only the factors of ``_atom_factors``: one
-    (coarse x R) by (R x points) product, weighted by zc and summed over
-    the coarse bins, with no (bins x points) array.  Other wavelets build atom
-    rows in blocks of about _BLOCK_COEFFS coefficients.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        return np.zeros(0, dtype=complex)
-    if pts.shape[1] != 2:
-        raise ValueError("points must be (x, s) pairs")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
-    if np.any(pts[:, 1] <= 0):
-        raise ValueError("all scales must be positive")
-    if w.cauchy_order is not None:
-        return _cauchy_cwt(_atom_factors(w, pts, f), f.coeffs)
-    out = np.empty(pts.shape[0], dtype=complex)
-    fc = f.coeffs.conj()
-    for rows in _row_blocks(pts.shape[0], fc.size):
-        out[rows] = _atom_matrix(w, pts[rows], f) @ fc
-    return out.conj()
+    """Wavelet coefficients <f, atom(x, s)> at a (k, 2) array of points (x, s)."""
+    return _Atoms(w, _Atoms.checked(points), f).analyze(f.coeffs)
 
 
 def cwt_regular(f: SignalModel, w: MotherWavelet, s: float) -> np.ndarray:

@@ -171,6 +171,14 @@ def test_frame_estimate_and_rank_deficiency():
     assert rep["result"]["error"] == "rank-deficient"
 
 
+def test_default_dyadic_estimate_converges():
+    # at base 2 the default dyadic set had fewer points than band dimensions
+    for n in ("512", "1024"):
+        rc, rep, _ = run_json(["frame", "estimate", "--scheme", "dyadic", "--n", n])
+        assert rc == 0 and rep["result"]["converged"] is True
+        assert rep["config"]["a"] == 2.0**0.25 and rep["result"]["provenance"]["a"] == 2.0**0.25
+
+
 def test_frame_compare_csv(tmp_path):
     args = ["frame", "compare", "--deltas", "0.5", "--n", "1024", "--duration", "1024",
             "--smax", "0.1", "--format", "csv"]
@@ -284,6 +292,10 @@ def test_config_none_default_keys_take_the_flag_type(tmp_path):
         rc, _, err = run(["--config", str(bad), "cover", "audit", "--delta", "0.5"])
         assert rc == 1, text
         assert err.count("\n") == 1 and text.split()[0] in err
+    # a config key can never act (--config is always in argv): refused at its line
+    bad.write_text("k = -3:3\nconfig = other.cfg\n")
+    rc, out, err = run(["--config", str(bad), "cover", "audit", "--delta", "0.5"])
+    assert (rc, out) == (1, "") and err.count("\n") == 1 and f"{bad}:2:" in err
 
 
 def test_removed_flags_are_usage_errors():
@@ -375,7 +387,8 @@ def test_frame_scales_far_below_the_band_are_not_an_error():
     # xi overflows; those atoms are 0, with no numpy RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc, rep, err = run_json("frame estimate --scheme dyadic --n 128 --octaves 1023".split())
+        argv = "frame estimate --scheme dyadic --a 2 --n 128 --octaves 1023".split()
+        rc, rep, err = run_json(argv)
     assert (rc, err) == (0, "")
     assert rep["result"]["points"] == 1023
     assert rep["result"]["converged"] is True

@@ -27,8 +27,8 @@ from goldwave.wavelet import (
     _BLOCK_COEFFS,
     MotherWavelet,
     SignalModel,
+    _atom_blocks,
     _atom_matrix,
-    _row_blocks,
     atom_spectrum,
     cauchy_wavelet,
     cwt,
@@ -139,6 +139,25 @@ def test_sample_set_rejects_nonpositive_scales():
                 SampleSet(np.array([point]), {})
 
 
+def test_sample_sets_and_cwt_take_only_k_by_2_points():
+    f = SignalModel.zeros(64, 64.0)
+    pairs = np.array([[1.0, 0.1], [2.0, 0.2], [3.0, 0.3], [4.0, 0.4]])
+    # transposed coordinates, xs over ss, one bare pair, pairs of the wrong width
+    for bad in (pairs.reshape(2, 4), pairs.T, pairs[0], pairs[:3].T, np.zeros((0, 3))):
+        with pytest.raises(ValueError, match=r"\(k, 2\)"):
+            SampleSet(bad, {})
+        with pytest.raises(ValueError, match=r"\(k, 2\)"):
+            cwt(f, W, bad)
+    for empty in (np.zeros((0, 2)), []):
+        assert len(SampleSet(empty, {})) == 0 and cwt(f, W, empty).size == 0
+
+
+def test_framelab_keeps_out_of_the_atom_layout():
+    # T f and S f come from wavelet._Atoms; framelab sees no factor or row layout
+    layout = {"_atom_factors", "_atom_matrix", "_cauchy_cwt", "_row_blocks"}
+    assert not layout & set(vars(goldwave.framelab))
+
+
 # ---------------------------------------------------------------------------
 # operators
 
@@ -184,8 +203,9 @@ def test_frame_operator_blocks_match_one_product():
     rng = np.random.default_rng(12)
     model, region, _ = small_setup()
     sset = golden_sample_set(0.35, region)
-    assert len(sset) > 2 * (_BLOCK_COEFFS // (model.length // 2 - 1))  # several blocks
-    assert len(sset) % (_BLOCK_COEFFS // (model.length // 2 - 1)) != 0  # a partial last block
+    rows = [r for r, _ in _atom_blocks(bump, sset.points, model)]
+    assert len(rows) > 2  # several blocks
+    assert rows[-1].stop > len(sset)  # a partial last block
     atoms = _atom_matrix(bump, sset.points, model)
     f = random_signal(rng, model)
     ref = atoms.T @ (atoms.conj() @ f.coeffs)
@@ -233,8 +253,7 @@ def test_only_cauchy_wavelets_skip_the_atom_matrix(monkeypatch):
     # the dense path is the blocked sum it always was, bit for bit
     bump = gaussian_bump_wavelet()
     fc = f.coeffs.conj()
-    blocks = [_atom_matrix(bump, sset.points[rows], model)
-              for rows in _row_blocks(len(sset), fc.size)]
+    blocks = [a for _, a in _atom_blocks(bump, sset.points, model)]
     assert np.array_equal(cwt(f, bump, sset.points),
                           np.concatenate([a @ fc for a in blocks]).conj())
     dense_sf = np.zeros(fc.size, dtype=complex)
@@ -246,7 +265,6 @@ def test_only_cauchy_wavelets_skip_the_atom_matrix(monkeypatch):
         raise AssertionError("atom matrix built")
 
     monkeypatch.setattr(goldwave.wavelet, "_atom_matrix", no_atom_matrix)
-    monkeypatch.setattr(goldwave.framelab, "_atom_matrix", no_atom_matrix)
     assert cwt(f, W, sset.points).shape == (len(sset),)
     assert frame_operator_apply(f, sset, W).coeffs.shape == fc.shape
     # the family picks the path: the same profile without its order is dense
@@ -301,11 +319,12 @@ def test_cached_factors_give_the_uncached_values():
 def test_sample_set_builds_its_factors_once_per_key(monkeypatch):
     builds = []
 
-    def counted(*args):
-        builds.append(args[1:])
-        return goldwave.wavelet._atom_factors(*args)
+    class Counted(goldwave.wavelet._Atoms):  # the sample set's builds; cwt's own are not counted
+        def __init__(self, *args):
+            builds.append(args[1:])
+            super().__init__(*args)
 
-    monkeypatch.setattr(goldwave.framelab, "_atom_factors", counted)
+    monkeypatch.setattr(goldwave.framelab, "_Atoms", Counted)
     rng = np.random.default_rng(16)
     model, region, _ = small_setup()
     sset = golden_sample_set(0.7, region)
@@ -322,11 +341,12 @@ def test_sample_set_builds_its_factors_once_per_key(monkeypatch):
         for _ in range(2):  # built, then cached
             assert np.array_equal(analysis(f, sset, w), cwt(f, w, sset.points))
     assert len(builds) == 5  # one slot: going back to the first key rebuilds
-    # dense wavelets never fill the cache
-    bump_set = golden_sample_set(0.7, region)
-    analysis(f, bump_set, gaussian_bump_wavelet())
-    frame_operator_apply(f, bump_set, gaussian_bump_wavelet())
-    assert len(builds) == 5 and bump_set._cauchy is None
+    # dense wavelets keep no atoms: their entry holds no factors
+    bump_set, bump = golden_sample_set(0.7, region), gaussian_bump_wavelet()
+    analysis(f, bump_set, bump)
+    frame_operator_apply(f, bump_set, bump)
+    assert len(builds) == 6  # one more key, one more build
+    assert bump_set._atoms_for(bump, f)._factors is None and len(builds) == 6
 
 
 def test_sample_set_points_are_a_read_only_copy():
@@ -337,8 +357,9 @@ def test_sample_set_points_are_a_read_only_copy():
     pts[0, 0] = 5.0  # the caller's array stays writable, and apart
     assert sset.points[0, 0] == 1.0
     model, _, _ = small_setup()
-    analysis(random_signal(np.random.default_rng(17), model), sset, W)
-    for factor in sset._cauchy[1]:
+    f = random_signal(np.random.default_rng(17), model)
+    analysis(f, sset, W)
+    for factor in sset._atoms_for(W, f)._factors:
         assert not factor.flags.writeable
 
 

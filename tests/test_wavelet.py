@@ -497,13 +497,13 @@ def test_kept_windows_leave_equality_hash_and_sample_set_keys_alone():
     f = random_signal(np.random.default_rng(20), n=1024, t=1024.0)
     sset = SampleSet(np.array([[1.0, 0.01], [200.0, 0.05]]), {})
     u = analysis(f, sset, w)
-    factors = sset._cauchy_factors(w, f)
+    atoms = sset._atoms_for(w, f)
     for s in (0.01, 0.02):
         cwt_regular(f, twin, s)
     assert w._windows == {} and len(twin._windows[(1024, 1024.0)]) == 2
     assert twin == w and hash(twin) == hash(w) and "_windows" not in repr(twin)
     # the sample set's entry, keyed by w, serves the twin with its windows
-    assert sset._cauchy_factors(twin, f) is factors
+    assert sset._atoms_for(twin, f) is atoms
     assert np.array_equal(analysis(f, sset, twin), u)
 
 
