@@ -37,15 +37,16 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
-def _scale_interval(delta: float, l: int) -> tuple[float, float]:
-    return math.exp(delta * l), math.exp(delta * (l + 1))
+def _row(delta: float, l: int) -> tuple[float, float, float]:
+    """The scale interval [s_lo, s_hi) of row l and the width of its cells."""
+    s_lo, s_hi = math.exp(delta * l), math.exp(delta * (l + 1))
+    return s_lo, s_hi, delta * delta / (s_hi - s_lo)
 
 
 def cell(delta: float, k: int, l: int) -> Rect:
     """The covering cell with indices (k, l)."""
     _check_delta(delta)
-    s_lo, s_hi = _scale_interval(delta, l)
-    w = delta * delta / (s_hi - s_lo)
+    s_lo, s_hi, w = _row(delta, l)
     return Rect(k * w, (k + 1) * w, s_lo, s_hi)
 
 
@@ -60,14 +61,13 @@ def cell_index(point: tuple[float, float], delta: float) -> tuple[int, int]:
     # the rounded quotients may miss by one at an edge: step against the
     # edges exactly as cell() computes them
     l = math.floor(math.log(s) / delta)
-    s_lo, s_hi = _scale_interval(delta, l)
+    s_lo, s_hi, w = _row(delta, l)
     if s < s_lo:
         l -= 1
-        s_lo, s_hi = _scale_interval(delta, l)
+        s_lo, s_hi, w = _row(delta, l)
     elif s >= s_hi:
         l += 1
-        s_lo, s_hi = _scale_interval(delta, l)
-    w = delta * delta / (s_hi - s_lo)
+        s_lo, s_hi, w = _row(delta, l)
     k = math.floor(x / w)
     if x < k * w:
         k -= 1
@@ -99,7 +99,7 @@ class CoverAudit:
     l_range: tuple[int, int]
     min_count: int
     max_count: int
-    # the first 1000 empty cells in (l, k) order; histogram[0] counts them all
+    # the first 100 empty cells in (l, k) order; histogram[0] counts them all
     empty_cells: list[tuple[int, int]] = field(default_factory=list)
     cells_checked: int = 0
     histogram: dict[int, int] = field(default_factory=dict)
@@ -127,7 +127,7 @@ def audit_cover(
     k_lo, k_hi = k_range
     l_lo, l_hi = l_range
     if k_lo > k_hi or l_lo > l_hi:
-        raise ValueError("empty index range")
+        raise ValueError(f"empty index range: k in {list(k_range)}, l in {list(l_range)}")
     cells = (k_hi - k_lo + 1) * (l_hi - l_lo + 1)
     if cells > _DEFAULT_CAP or max(-k_lo, k_hi) >= 2**52:
         raise EnumerationCapError(
@@ -136,8 +136,7 @@ def audit_cover(
     rows = []
     for l in range(l_lo, l_hi + 1):
         try:
-            s_lo, s_hi = _scale_interval(delta, l)
-            width = delta**2 / (s_hi - s_lo)
+            s_lo, s_hi, width = _row(delta, l)
         except (OverflowError, ZeroDivisionError):
             width = math.inf
         if not 0 < width < math.inf:
@@ -147,7 +146,7 @@ def audit_cover(
     ks = np.tile(np.arange(k_lo, k_hi + 1), l_hi - l_lo + 1)
     counts = count_rects(beta, ks * width, (ks + 1) * width, s_lo, s_hi)
     empty = [(k_lo + int(i) % (k_hi - k_lo + 1), l_lo + int(i) // (k_hi - k_lo + 1))
-             for i in np.flatnonzero(counts == 0)[:1000]]
+             for i in np.flatnonzero(counts == 0)[:100]]
     values, freqs = np.unique(counts, return_counts=True)
     return CoverAudit(
         delta=delta,

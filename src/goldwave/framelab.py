@@ -33,6 +33,7 @@ __all__ = [
     "frame_operator_apply",
     "guard_band",
     "estimate_bounds",
+    "bounds_row",
     "compare_schemes",
     "comparison_to_csv",
 ]
@@ -99,13 +100,14 @@ def golden_sample_set(
 ) -> SampleSet:
     """Points of beta * Gamma inside the region (upper half-plane only).
 
-    beta defaults to the covering-derived scale for delta.  An empty result
-    is allowed and reported through the ``empty`` flag, not raised.
+    beta defaults to the covering-derived scale for delta; delta must be
+    positive and finite even when beta is given.  An empty result is
+    allowed and reported through the ``empty`` flag, not raised.
     """
     if not region.c > 0:
         raise ValueError("region must lie in the upper half-plane")
-    if beta is None:
-        beta = beta_for_delta(delta)
+    default = beta_for_delta(delta)  # checks delta, also when beta is given
+    beta = default if beta is None else beta
     # enumerate_in_rect lists each index once, sorted by (n, m)
     x, s = lattice_coords(*enumerate_in_rect(LatticeSpec(beta=beta), region).T)
     coords = np.column_stack([beta * x, beta * s])
@@ -292,6 +294,20 @@ def estimate_bounds(
         restricted_band=(int(band[0]), int(band[1])), converged=a_lo > 0 and b_hi < math.inf)
 
 
+def bounds_row(sset: SampleSet, w: MotherWavelet, model: SignalModel,
+               band: tuple[int, int]) -> dict:
+    """``estimate_bounds`` as a report row: points, A, B, ratio, converged
+    and diagnostics.  A rank-deficient set gives A = 0, B = nan, ratio =
+    inf, converged false and its reason as ``diagnostics["error"]``."""
+    try:
+        est = estimate_bounds(sset, w, model, band)
+    except RankDeficiencyError as exc:
+        return {"points": len(sset), "A": 0.0, "B": math.nan, "ratio": math.inf,
+                "converged": False, "diagnostics": {"error": str(exc)}}
+    return {"points": len(sset), "A": est.lower, "B": est.upper, "ratio": est.ratio,
+            "converged": est.converged, "diagnostics": est.diagnostics}
+
+
 def _match_dyadic_density(target: int, a: float, region: Rect) -> SampleSet:
     """Choose the translation step b so the dyadic count matches target
     within 2%."""
@@ -325,26 +341,19 @@ def compare_schemes(
 
     For every delta the golden set at beta(delta) is built, then a dyadic
     set of base DYADIC_BASE with the same region and a point count matched
-    within 2%, and ``estimate_bounds`` is run on both.  Rows are plain dicts
-    ready for CSV or JSON serialization.
+    within 2%, and ``bounds_row`` gives the row of each.  Every golden set
+    is built, so every delta checked, before the first solve.  Rows are
+    plain dicts ready for CSV or JSON serialization.
     """
     rows = []
-    for delta in delta_list:
-        golden = golden_sample_set(delta, region)
+    for golden in [golden_sample_set(delta, region) for delta in delta_list]:
         dyadic = _match_dyadic_density(len(golden), DYADIC_BASE, region)
         prov = dyadic.provenance
         for sset, label in ((golden, f"beta={golden.provenance['beta']:.6g}"),
                             (dyadic, f"a={prov['a']:.6g},b={prov['b']:.6g}")):
-            row = {"delta": float(delta), "scheme": sset.provenance["scheme"],
-                   "beta_or_ab": label, "points": len(sset)}
-            try:
-                est = estimate_bounds(sset, w, model, band)
-                row.update(A=est.lower, B=est.upper, ratio=est.ratio,
-                           converged=est.converged, diagnostics=est.diagnostics)
-            except RankDeficiencyError as exc:
-                row.update(A=0.0, B=math.nan, ratio=math.inf,
-                           converged=False, diagnostics={"error": str(exc)})
-            rows.append(row)
+            rows.append({"delta": float(golden.provenance["delta"]),
+                         "scheme": sset.provenance["scheme"], "beta_or_ab": label,
+                         **bounds_row(sset, w, model, band)})
     return rows
 
 

@@ -135,10 +135,12 @@ class Rect:
             exact = tuple(map(_as_golden_ratio, self.exact))
             object.__setattr__(self, "exact", exact)
             (ga, qa), (gb, qb), (gc, qc), (gd, qd) = exact
-            if (gb * qa - ga * qb).sign() <= 0 or (gd * qc - gc * qd).sign() <= 0:
-                raise ValueError(f"invalid rectangle {self}")
-        elif not (self.a < self.b and self.c < self.d):
-            raise ValueError(f"invalid rectangle {self}")
+            valid = (gb * qa - ga * qb).sign() > 0 and (gd * qc - gc * qd).sign() > 0
+        else:
+            valid = self.a < self.b and self.c < self.d
+        if not valid:
+            raise ValueError(f"invalid rectangle [{self.a}, {self.b}) x [{self.c}, {self.d}): "
+                             "need a < b and c < d")
 
     @classmethod
     def from_exact(cls, a: ExactEdge, b: ExactEdge, c: ExactEdge, d: ExactEdge) -> Rect:

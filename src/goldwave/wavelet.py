@@ -376,19 +376,24 @@ class SignalModel:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        n = self.length
-        if n < 4 or n & (n - 1):
-            raise ValueError(f"length must be a power of two >= 4, got {n}")
-        if not 0 < self.duration < math.inf:
-            raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        n = self._checked(self.length, self.duration)
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (n // 2 - 1,):
             raise ValueError(f"expected {n // 2 - 1} coefficients, got {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
+    @staticmethod
+    def _checked(n: int, duration: float) -> int:
+        """n, once n and the duration are checked (by ``zeros`` before it allocates)."""
+        if n < 4 or n & (n - 1):
+            raise ValueError(f"length must be a power of two >= 4, got {n}")
+        if not 0 < duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {duration}")
+        return n
+
     @classmethod
     def zeros(cls, length: int, duration: float) -> SignalModel:
-        return cls(length, duration, np.zeros(length // 2 - 1, dtype=complex))
+        return cls(length, duration, np.zeros(cls._checked(length, duration) // 2 - 1, complex))
 
     @cached_property
     def bins(self) -> np.ndarray:

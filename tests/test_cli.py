@@ -33,7 +33,7 @@ def test_lattice_count_basic():
     assert rc == 0
     assert rep["result"]["count"] == 1
     assert rep["result"]["points"][0]["n"] == 0
-    assert rep["schema_version"] == 3
+    assert rep["schema_version"] == 4
     assert rep["config"]["beta"] == "1"
 
 
@@ -96,6 +96,30 @@ def test_lattice_audit_aliases():
     assert rep["result"]["max_count"] <= 1
 
 
+@pytest.mark.parametrize("mode, area", [("min", "golden2"), ("max", "inv3p2a"), ("min", "0.2")])
+def test_audit_witnesses_reproduce_through_lattice_count(mode, area):
+    rc, rep, _ = run_json(["lattice", "audit", "--mode", mode, "--area", area,
+                           "--trials", "300", "--seed", "4"])
+    assert rc == 0
+    result = rep["result"]
+    for key, count in (("witness_min", result["min_count"]), ("witness_max", result["max_count"])):
+        assert all("/" in edge for edge in result[key])  # exact p/q, not a decimal
+        rc, again, _ = run_json(["lattice", "count", "--rect", ",".join(result[key]),
+                                 "--beta", "1"])
+        assert (rc, again["result"]["count"]) == (0, count), key
+
+
+def test_lattice_count_decimal_and_exact_edges():
+    # the decimals are the shortest reprs of an audit rectangle's doubles;
+    # (328, -44) has s = -44 + 328*alpha = 158.715148309965510..., inside
+    # the decimal bottom edge but below the double 158.715148309965513...
+    doubles = (351.45084971774736, 355.9004088570296, 158.7151483099655, 159.30352884538462)
+    for rect, count in ((",".join(map(repr, doubles)), 2),
+                        (",".join("%d/%d" % e.as_integer_ratio() for e in doubles), 1)):
+        rc, rep, _ = run_json(["lattice", "count", "--rect", rect, "--beta", "1"])
+        assert (rc, rep["result"]["count"]) == (0, count)
+
+
 def test_cover_audit_pass_and_empty_reporting():
     rc, rep, _ = run_json(["cover", "audit", "--delta", "0.5", "--k", "-20:20", "--l", "-5:5"])
     assert rc == 0
@@ -110,7 +134,7 @@ def test_cover_audit_pass_and_empty_reporting():
 
 
 def test_cover_audit_counts_every_empty_cell():
-    # audit_cover records only the first 1000 empty cells; the total must
+    # audit_cover records only the first 100 empty cells; the total must
     # still count all of them
     rc, rep, _ = run_json(["cover", "audit", "--delta", "1.0", "--beta", "3.0",
                            "--k", "-200:200", "--l", "-5:5"])
@@ -168,7 +192,11 @@ def test_frame_estimate_and_rank_deficiency():
     assert rep["result"]["A"] > 0
     rc, rep, _ = run_json(base + ["--delta", "0.35", "--beta", "20"])
     assert rc == 2  # numerical failure: distinct from usage errors
-    assert rep["result"]["error"] == "rank-deficient"
+    # the row frame compare prints for a rank-deficient set
+    result = rep["result"]
+    assert (result["points"], result["A"], result["B"], result["ratio"]) == (0, 0.0, "nan", "inf")
+    assert result["converged"] is False
+    assert "structurally zero" in result["diagnostics"]["error"]
 
 
 def test_default_dyadic_estimate_converges():
@@ -242,11 +270,11 @@ def test_config_file_with_flag_override(tmp_path):
     rc, out, err = run(["--config", str(cfg), "cover", "audit", "--del", "0.25"])
     assert (rc, out) == (1, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1
-    # a global flag wins over the file before or after the subcommand
+    # a flag wins over the file, whether --config comes before or after it
     seeded = tmp_path / "seed.cfg"
     seeded.write_text("seed = 5\ntrials = 50\n")
     audit = ["lattice", "audit", "--mode", "min", "--area", "golden2"]
-    for argv in (["--seed", "7", "--config", str(seeded), *audit],
+    for argv in ([*audit, "--seed", "7", "--config", str(seeded)],
                  ["--config", str(seeded), *audit, "--seed", "7"],
                  ["--config", str(seeded), *audit, "--seed=7"]):
         rc, rep, _ = run_json(argv)
@@ -305,6 +333,21 @@ def test_removed_flags_are_usage_errors():
         assert rc == 1, flag
         assert out == ""
         assert err.count("\n") == 1 and flag in err
+    # --seed is read by lattice audit alone (the frame commands accept it and
+    # ignore it), --format by frame compare alone
+    commands = {"lattice count": "--rect 0,1,0,1 --beta 1",
+                "lattice audit": "--mode min --area 1 --trials 5",
+                "cover audit": "--delta 1 --k 0:1 --l 0:1",
+                "wavelet check": "--family cauchy",
+                "frame estimate": "--scheme golden --n 128"}
+    misplaced = [f"{cmd} {flags} --format json".split() for cmd, flags in commands.items()]
+    misplaced += [f"{cmd} {commands[cmd]} --seed 3".split()
+                  for cmd in ("lattice count", "cover audit", "wavelet check")]
+    misplaced.append("--seed 3 lattice audit --mode min --area 1 --trials 5".split())
+    for argv in misplaced:
+        rc, out, err = run(argv)
+        assert (rc, out) == (1, ""), argv
+        assert err.startswith("usage error: ") and err.count("\n") == 1
     # -v was parsed and never read; it returns with the stage timers
     rc, out, err = run(["-v", "lattice", "count", "--rect", "0,1,0,1", "--beta", "1"])
     assert (rc, out) == (1, "")
@@ -312,7 +355,7 @@ def test_removed_flags_are_usage_errors():
 
 
 def test_parser_is_shared_and_unchanged_by_an_error():
-    good = ["lattice", "count", "--rect", "-0.5,0.5,-0.5,0.5", "--beta", "1", "--seed", "3"]
+    good = ["lattice", "count", "--rect", "-0.5,0.5,-0.5,0.5", "--beta", "1"]
     alone = run(good)
     assert run(["lattice", "count", "--rect", "0,1,0,1", "--bogus"])[0] == 1
     assert run(["lattice", "audit", "--mode", "mid", "--area", "1"])[0] == 1
@@ -502,7 +545,10 @@ def test_output_file(tmp_path):
 def test_resolved_config_embedded():
     rc, rep, _ = run_json(["cover", "audit", "--delta", "0.5", "--k", "-2:2", "--l", "-1:1"])
     assert rc == 0
-    # defaulted values appear in the provenance block
-    assert rep["config"]["seed"] == 0
-    assert rep["config"]["format"] == "json"
+    # defaulted values appear in the provenance block, and only the command's own flags
     assert rep["config"]["beta"] is None
+    assert "seed" not in rep["config"] and "format" not in rep["config"]
+    rc, rep, _ = run_json(["lattice", "audit", "--mode", "min", "--area", "1", "--trials", "5"])
+    assert rc == 0 and rep["config"]["seed"] == 0 and "format" not in rep["config"]
+    rc, rep, _ = run_json(["frame", "compare", "--deltas", "1", "--n", "128", "--smax", "0.5"])
+    assert rep["config"]["format"] == "json"

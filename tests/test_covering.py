@@ -110,18 +110,21 @@ def test_audit_matches_per_cell_enumeration():
     assert total == hist_total
 
 
-@pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("delta", [0.25, 0.5, 1.0, 0.35, 2.759])
 def test_audit_counts_exactly_the_cells(monkeypatch, delta):
     # the batch gets the edges of cell(delta, k, l) bit for bit, so
-    # neighbouring cells share their seam and the audit tiles exactly
+    # neighbouring cells share their seam and the audit tiles exactly; at
+    # 2.759, delta**2 != delta * delta, and 14 of these 35 cells differed
+    # when the audit squared delta on its own
     import goldwave.covering as covering
 
     seen = []
     count_rects = covering.count_rects
     monkeypatch.setattr(covering, "count_rects",
                         lambda beta, *edges: seen.append(edges) or count_rects(beta, *edges))
-    ks, ls = range(-500, 501), range(-30, 31)
-    audit_cover(delta, k_range=(-500, 500), l_range=(-30, 30))
+    k, l = (500, 30) if delta <= 1 else (3, 2)  # wider cells leave the 2**52 index range
+    ks, ls = range(-k, k + 1), range(-l, l + 1)
+    audit_cover(delta, k_range=(-k, k), l_range=(-l, l))
     got = np.column_stack(seen[0])
     expected = np.array([cell(delta, k, l).edges() for l in ls for k in ks])
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

@@ -85,6 +85,18 @@ def test_golden_set_rejects_lower_half_region():
         golden_sample_set(0.5, Rect(0.0, 10.0, -1.0, 1.0))
 
 
+def test_delta_is_checked_before_any_solve(monkeypatch):
+    region = Rect(0.0, 100.0, 0.5, 2.0)
+    with pytest.raises(ValueError, match="delta"):
+        golden_sample_set(-1.0, region, beta=0.3)  # also when beta is given
+    model, region, band = small_setup()
+    solves = []
+    monkeypatch.setattr(goldwave.framelab, "estimate_bounds", lambda *a: solves.append(a))
+    with pytest.raises(ValueError, match="delta"):
+        compare_schemes([0.5, -1.0], W, model, region, band)
+    assert solves == []
+
+
 def test_golden_set_empty_flagged_not_fatal():
     sset = golden_sample_set(0.5, Rect(0.0, 0.2, 0.5, 0.7), beta=1000.0)
     assert sset.empty

@@ -125,7 +125,9 @@ def test_lattice_coords_accuracy():
 
 
 def test_rect_validation():
-    with pytest.raises(ValueError):
+    # the message gives the edges and the rule, not the dataclass repr
+    with pytest.raises(ValueError, match=r"^invalid rectangle \[1\.0, 0\.0\) x \[0\.0, 1\.0\): "
+                                         r"need a < b and c < d$"):
         Rect(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Rect(0.0, 1.0, 1.0, 1.0)

@@ -165,6 +165,10 @@ def test_signal_model_validation():
     for duration in (math.nan, math.inf):
         with pytest.raises(ValueError):
             SignalModel.zeros(64, duration)
+    # refused before 8e14 bytes of coefficients are allocated (a MemoryError)
+    for length in (3 * 2**45, -4):
+        with pytest.raises(ValueError, match="power of two"):
+            SignalModel.zeros(length, 1.0)
 
 
 def test_cauchy_profile_is_zero_where_its_power_overflows():
