@@ -42,12 +42,18 @@ from .wavelet import (
     normalize_tight,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # symbolic area aliases, evaluated in double precision from the exact forms
 _AREA_ALIASES = {
     "golden2": 2.0 + ALPHA_FLOAT,  # 2 + alpha
     "inv3p2a": 1.0 / (3.0 + 2.0 * ALPHA_FLOAT),  # 1 / (3 + 2*alpha)
+}
+
+# the flags read by each value of --scheme and --family (absent unless given), with defaults
+_CHOICE_FLAGS = {
+    "scheme": {"golden": {"delta": 0.35, "beta": None}, "dyadic": {"a": DYADIC_BASE, "b": 1.0}},
+    "family": {"cauchy": {"order": 6.0}, "gaussian_bump": {"center": 1.0, "width": 0.1}},
 }
 
 
@@ -130,6 +136,7 @@ def build_parser() -> _Parser:
     later ones: parsing leaves it unchanged, and building it costs about
     2 ms, mostly argparse reading the terminal size per argument."""
     p = _Parser(prog="goldwave", description=__doc__)
+    off = argparse.SUPPRESS  # no default: the flags of one --scheme or --family value
     _add_global_flags(p, suppress=False)
     # same flags accepted after the subcommand, without clobbering values
     shared = _Parser(add_help=False)
@@ -164,10 +171,10 @@ def build_parser() -> _Parser:
     wav = sub.add_parser("wavelet", help="wavelet hypothesis checks")
     wavsub = wav.add_subparsers(dest="subcommand", required=True)
     wc = wavsub.add_parser("check", parents=[shared], help="admissibility and decay conditions")
-    wc.add_argument("--family", required=True)
-    wc.add_argument("--order", type=_finite, default=6.0, help="cauchy order p")
-    wc.add_argument("--center", type=_finite, default=1.0, help="gaussian_bump center")
-    wc.add_argument("--width", type=_finite, default=0.1, help="gaussian_bump width")
+    wc.add_argument("--family", choices=list(_CHOICE_FLAGS["family"]), required=True)
+    wc.add_argument("--order", type=_finite, default=off, help="cauchy order p (default 6)")
+    wc.add_argument("--center", type=_finite, default=off, help="gaussian_bump center (default 1)")
+    wc.add_argument("--width", type=_finite, default=off, help="gaussian_bump width (default 0.1)")
     wc.add_argument("--threshold", type=_finite, default=1e-8, help="decay tail threshold")
 
     fr = sub.add_parser("frame", help="frame-bound estimation")
@@ -184,11 +191,11 @@ def build_parser() -> _Parser:
                             "frame benchmark (bench/workloads.py) passes it")
 
     fe = frsub.add_parser("estimate", parents=[shared], help="frame bounds for one sample set")
-    fe.add_argument("--scheme", choices=["golden", "dyadic"], required=True)
-    fe.add_argument("--delta", type=_finite, default=0.35)
-    fe.add_argument("--beta", type=_finite, default=None)
-    fe.add_argument("--a", type=_finite, default=DYADIC_BASE, help="dyadic scale base")
-    fe.add_argument("--b", type=_finite, default=1.0, help="dyadic translation step")
+    fe.add_argument("--scheme", choices=list(_CHOICE_FLAGS["scheme"]), required=True)
+    fe.add_argument("--delta", type=_finite, default=off, help="golden delta (default 0.35)")
+    fe.add_argument("--beta", type=_finite, default=off, help="golden scale (default from delta)")
+    fe.add_argument("--a", type=_finite, default=off, help="dyadic scale base (default 2**0.25)")
+    fe.add_argument("--b", type=_finite, default=off, help="dyadic translation step (default 1)")
     add_model_flags(fe)
     fc = frsub.add_parser("compare", parents=[shared], help="golden vs density-matched dyadic table")
     fc.add_argument("--deltas", required=True, help="comma-separated delta values")
@@ -245,6 +252,18 @@ def _with_config(parser: _Parser, argv: list[str], path: str) -> argparse.Namesp
         raise UsageError(unknown_key.get(unknown[0],
                                          f"unrecognized arguments: {' '.join(unknown)}"))
     return args
+
+
+def _settle_choices(args: argparse.Namespace) -> None:
+    """Refuse a flag the chosen --scheme or --family cannot read; default its own."""
+    for key, choices in _CHOICE_FLAGS.items():
+        chosen = getattr(args, key, None)
+        for value, flags in choices.items() if chosen else ():
+            for flag, default in flags.items():
+                if value == chosen:
+                    vars(args).setdefault(flag, default)
+                elif hasattr(args, flag):
+                    raise UsageError(f"--{flag} does not apply to --{key} {chosen}")
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -345,10 +364,8 @@ def _cmd_wavelet_check(args) -> tuple[dict, int]:
                 "reason": str(exc),
                 "passed": False,
             }, 0
-    elif args.family == "gaussian_bump":
-        w = gaussian_bump_wavelet(args.center, args.width)
     else:
-        raise UsageError(f"unknown wavelet family {args.family!r}")
+        w = gaussian_bump_wavelet(args.center, args.width)
     normalized = normalize_tight(w)
     c_psi = admissibility_constant(normalized)
     rep = decay_condition_report(normalized, threshold=args.threshold)
@@ -411,6 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         path = _config_path(argv)
         args = parser.parse_args(argv) if path is None else _with_config(parser, argv, path)
+        _settle_choices(args)
         handlers = {
             ("lattice", "count"): _cmd_lattice_count,
             ("lattice", "audit"): _cmd_lattice_audit,

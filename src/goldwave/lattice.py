@@ -11,8 +11,8 @@ phi of Z[phi], and as candidates the small integer box that this basis maps
 onto a parallelogram covering the rectangle; rectangles with equally shaped
 boxes, found by one stable sort, are checked together.  A rectangle of any
 aspect ratio thus costs about as many candidates as a square of its area.
-``enumerate_in_rect`` lists the indices of one rectangle's points from the
-same box, as one int64 array.
+``enumerate_in_rect`` lists one rectangle's points, as one int64 index
+array, from the same box, margins and decider, worked out on Python floats.
 ``audit_min_count`` / ``audit_max_count`` run randomized plus
 lattice-anchored adversarial ensembles of fixed-area rectangles and report
 the extreme counts with reproducing witnesses.
@@ -229,6 +229,10 @@ _ROW_SUM = np.abs(_BASES).sum(axis=1).max(axis=0).astype(float)
 _UNIT_X = np.array([float(int(n) - int(m) * _ALPHA_200) for n, m in _BASES[:, 0].T])
 _UNIT_S = np.array([float(int(m) + int(n) * _ALPHA_200) for n, m in _BASES[:, 1].T])
 _MARGIN = 2.0**-48  # the float filter's margin per unit of its error scale
+_DET = 1.0 + ALPHA_FLOAT**2  # det A
+# the tables as Python numbers, one tuple per position, for one rectangle
+_ENTRIES = list(zip(_PHI_POW.tolist(), _PARITY.tolist(), _ROW_SUM.tolist(), _UNIT_X.tolist(),
+                    _UNIT_S.tolist(), _BASES.reshape(4, -1).T.tolist()))
 
 
 def _positions(p: np.ndarray) -> np.ndarray:
@@ -289,9 +293,8 @@ def _boxes(beta: float, a, b, c, d):
         x_a, x_b = a * kx, b * kx
         s_c, s_d = c * ks, d * ks
         s_lo, s_hi = np.minimum(s_c, s_d), np.maximum(s_c, s_d)
-        det = 1.0 + ALPHA_FLOAT**2
-        i_lo, i_hi = (x_a + ALPHA_FLOAT * s_lo) / det, (x_b + ALPHA_FLOAT * s_hi) / det
-        j_lo, j_hi = (s_lo - ALPHA_FLOAT * x_b) / det, (s_hi - ALPHA_FLOAT * x_a) / det
+        i_lo, i_hi = (x_a + ALPHA_FLOAT * s_lo) / _DET, (x_b + ALPHA_FLOAT * s_hi) / _DET
+        j_lo, j_hi = (s_lo - ALPHA_FLOAT * x_b) / _DET, (s_hi - ALPHA_FLOAT * x_a) / _DET
         q = np.maximum(np.maximum(-i_lo, i_hi), np.maximum(-j_lo, j_hi))
         tol = _BOX_TOL * q
         lo = np.stack([np.ceil(i_lo - tol), np.ceil(j_lo - tol)])
@@ -308,13 +311,23 @@ def _boxes(beta: float, a, b, c, d):
     return t, lo.astype(np.int64), size.astype(np.int64), q
 
 
-def _blocks(beta: float, a, b, c, d, slack=0.0):
+def _filter(beta: float, unit_x, unit_s, row_sum, q):
+    """The float filter of ``_blocks`` for boxes of bound q and bases with
+    unit scales unit_x, unit_s and row sums row_sum, elementwise: the scales
+    kx, ks of x~ and s~, the margins mx, ms, and whether its bound holds."""
+    kx, ks = beta * unit_x, beta * unit_s
+    mq = (2 * _MARGIN) * q  # 2**-48 * L per unit of beta times the scale
+    usable = (q < 2.0**51) & (beta * (row_sum * q) < 2.0**1022) & (beta >= 2.0**-960)
+    return kx, ks, mq * kx + 2.0**-1070, mq * abs(ks) + 2.0**-1070, usable
+
+
+def _blocks(beta: float, a, b, c, d):
     """The candidates of the rectangles [a, b) x [c, d) in blocks of about
     ``_BLOCK``: yields (owner, t, lo, nj, keep, near), one column per box
     of nj columns: the rectangles ``owner``, the table positions t and
     corners lo of their boxes, and masks of the candidates that the float
     filter puts inside for sure (``keep``) and of those it leaves open
-    (``near``).  ``_indices`` gives the indices (n, m) under a mask.
+    (``near``).
 
     Rectangles with an empty box are skipped.  Boxes are cut along i into
     pieces of at most ``_BLOCK`` candidates (or one row), so memory stays
@@ -338,13 +351,13 @@ def _blocks(beta: float, a, b, c, d, slack=0.0):
     Otherwise |e| > 2M/(3u) - M > 20L lies beyond x~ and the deciding
     value, and e and both its thresholds compare alike with either.  So a
     candidate inside all four inner thresholds is in, one beyond an outer
-    threshold is out, and only the rest are ``near``.  ``slack`` (a scalar
-    or, per edge, shape (4, 1)) adds three times the distance between an
-    edge's float value and the exact edge that decides; a float edge is
-    its own deciding value and needs none.  Boxes where this bound does
-    not hold are all near: |i| or |j| of 2**51 or more, where i and j may
-    not be exact, K = beta*max(|n|, |m|) >= 2**1022, where x~ may overflow,
-    or beta < 2**-960, where beta*P may be subnormal.
+    threshold is out, and only the rest are ``near``.  A float edge is its
+    own deciding value; an exact edge adds to its margin three times the
+    distance to its float value (see ``enumerate_in_rect``).  Boxes where
+    this bound does not hold are all near: |i| or |j| of 2**51 or more,
+    where i and j may not be exact, K = beta*max(|n|, |m|) >= 2**1022,
+    where x~ may overflow, or beta < 2**-960, where beta*P may be
+    subnormal.  ``_filter`` gives the scales, margins and that rule.
     """
     t, lo, size, q = _boxes(beta, a, b, c, d)
     cells = size[0] * size[1]
@@ -369,12 +382,8 @@ def _blocks(beta: float, a, b, c, d, slack=0.0):
     t, q = t[owner], q[owner]
     # scales and margins of the boxes left unusable below may overflow
     with np.errstate(over="ignore"):
-        kx, ks = beta * _UNIT_X[t], beta * _UNIT_S[t]
-        big = beta * (_ROW_SUM[t] * q)  # K
-        mq = (2 * _MARGIN) * q  # 2**-48 * L per unit of beta times the scale
-        mx, ms = mq * kx + 2.0**-1070, mq * np.abs(ks) + 2.0**-1070
-    margin = np.stack([mx, mx, ms, ms]) + slack
-    usable = (q < 2.0**51) & (big < 2.0**1022) & (beta >= 2.0**-960)
+        kx, ks, mx, ms, usable = _filter(beta, _UNIT_X[t], _UNIT_S[t], _ROW_SUM[t], q)
+    margin = np.stack([mx, mx, ms, ms])
     if not usable.all():
         # every candidate near; zero scales keep x~ and s~ finite
         margin[:, ~usable] = np.inf
@@ -398,16 +407,6 @@ def _blocks(beta: float, a, b, c, d, slack=0.0):
             keep = (x >= a_hi[r]) & (x < b_lo[r]) & (s >= c_hi[r]) & (s < d_lo[r])
             near = keep | (x < a_lo[r]) | (x > b_hi[r]) | (s < c_lo[r]) | (s > d_hi[r])
             yield owner[r], t[r], lo[:, r], nj, keep, ~near
-
-
-def _indices(t, lo, nj: int, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The boxes and int64 indices (n, m) of the candidates under ``mask``
-    (one column per box), in boxes of nj columns with corners lo and bases
-    ``_BASES[..., t]``."""
-    cand, rows = np.nonzero(mask)
-    i, j = lo[0, rows] + cand // nj, lo[1, rows] + cand % nj
-    u = np.take(_BASES, t[rows], axis=2)
-    return rows, u[0, 0] * i + u[0, 1] * j, u[1, 0] * i + u[1, 1] * j
 
 
 def _exact_keep(beta: Fraction, n, m, rects) -> np.ndarray:
@@ -434,26 +433,66 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
     membership: an int64 array of shape (k, 2), rows (n, m) in
     lexicographic order.
 
-    Candidates come from the rectangle's box (the one-rectangle case of
-    ``count_rects``), the float filter of ``_blocks`` decides all but
-    those near an edge, and ``_exact_keep`` decides those, for the exact
-    edges when the rectangle has them and for beta as given.  With exact
-    edges the margin also covers each edge's float value, which is within
-    2**-51*(|g.a| + |g.b|)/q of an edge g/q, g in Z[alpha]: ``to_float``
-    may cancel, so the error follows the coefficients, not the value.
+    The one-rectangle case of ``count_rects`` on Python floats, numpy only
+    over the box's candidates, in pieces of at most ``_BLOCK``: the box of
+    ``_boxes``, the filter of ``_blocks`` and ``_exact_keep`` for the exact
+    edges if any and beta as given.  An exact edge g/q, g in Z[alpha], has
+    a float value within 2**-51*(|g.a| + |g.b|)/q of it (``to_float`` may
+    cancel): three times that widens its margin and four times that its
+    box, so the exact edges alone make the rectangle valid.
     """
-    beta = Fraction(spec.beta)
-    floats = tuple(map(float, rect.edges()))
-    slack = 0.0 if rect.exact is None else np.array(
-        [[2.0**-49 * (abs(g.a) / q + abs(g.b) / q)] for g, q in rect.exact])
+    edges = tuple(map(float, rect.edges()))
+    if rect.exact is None and not all(map(math.isfinite, edges)):
+        raise ValueError("need finite edges, got [{}, {}) x [{}, {})".format(*edges))
+    slack = (0.0,) * 4 if rect.exact is None else tuple(
+        2.0**-49 * (abs(g.a) / q + abs(g.b) / q) for g, q in rect.exact)
+    a, b, c, d = (e + side * m for e, side, m in zip(edges, (-1, 1, -1, 1), slack))
+    beta = float(spec.beta)
+    ratio = math.sqrt(d - c) / math.sqrt(b - a) if b - a > 0 and d - c > 0 else math.nan
+    p = round(math.log(ratio) / math.log(_PHI)) if 0 < ratio < math.inf else math.inf  # as np.rint
+    if not abs(p) <= _MAX_POWER:
+        raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
+    phi_p, parity, row_sum, unit_x, unit_s, (u00, u01, u10, u11) = _ENTRIES[p + _MAX_POWER]
+    kx, ks = phi_p / beta, parity / phi_p / beta  # phi_p * beta may underflow to 0
+    s_lo, s_hi = sorted((c * ks, d * ks))
+    i_lo, i_hi = (a * kx + ALPHA_FLOAT * s_lo) / _DET, (b * kx + ALPHA_FLOAT * s_hi) / _DET
+    j_lo, j_hi = (s_lo - ALPHA_FLOAT * (b * kx)) / _DET, (s_hi - ALPHA_FLOAT * (a * kx)) / _DET
+    q = max(-i_lo, i_hi, -j_lo, j_hi)
+    tol = _BOX_TOL * q
+    try:
+        i0, j0 = math.ceil(i_lo - tol), math.ceil(j_lo - tol)
+        ni, nj = math.floor(i_hi + tol) + 1 - i0, math.floor(j_hi + tol) + 1 - j0
+        cells = float(ni * nj)
+    except (OverflowError, ValueError):  # inf or nan corners, or cells beyond the float range
+        cells = math.inf
+    if not cells <= _DEFAULT_CAP:
+        raise EnumerationCapError(f"candidate boxes of {cells:.3g} cells exceed cap {_DEFAULT_CAP}")
+    q += tol + 1
+    if not row_sum * q < 2.0**51:
+        _check_indices(_BASES[..., [p + _MAX_POWER]], *np.array([[[i0], [j0]], [[ni], [nj]]], "f8"))
+    kx, ks, mx, ms, usable = _filter(beta, unit_x, unit_s, row_sum, q)
+    if not usable:  # every candidate near
+        kx, ks, mx, ms = 0.0, 0.0, math.inf, math.inf
+    lo, hi = ([e + side * (m + extra) for e, m, extra in zip(edges, (mx, mx, ms, ms), slack)]
+              for side in (-1, 1))
+    j = j0 + np.arange(nj, dtype=float)
+    aj = ALPHA_FLOAT * j
     found = [np.zeros((0, 2), dtype=np.int64)]
-    for _, t, lo, nj, keep, near in _blocks(float(beta), *(np.array([e]) for e in floats), slack):
-        _, n, m = _indices(t, lo, nj, keep)
-        found.append(np.column_stack([n, m]))
-        if near.any():
-            _, n, m = _indices(t, lo, nj, near)
-            keep = _exact_keep(beta, n, m, [rect.exact or floats] * n.size)
-            found.append(np.column_stack([n[keep], m[keep]]))
+    rows = _BLOCK // max(nj, 1) or 1
+    for first in range(i0, i0 + ni, rows):
+        i = first + np.arange(min(rows, i0 + ni - first), dtype=float)[:, None]
+        x = (i - aj) * kx
+        s = (ALPHA_FLOAT * i + j) * ks
+        keep = (x >= hi[0]) & (x < lo[1]) & (s >= hi[2]) & (s < lo[3])
+        near = ~(keep | (x < lo[0]) | (x > hi[1]) | (s < lo[2]) | (s > hi[3]))
+        # (n, m) = basis @ (i, j); int64 products may wrap, the sums are indices < 2**52
+        n0, m0 = u00 * first + u01 * j0, u10 * first + u11 * j0
+        for mask in (keep, near) if near.any() else (keep,):
+            di, dj = np.nonzero(mask)
+            n, m = n0 + u00 * di + u01 * dj, m0 + u10 * di + u11 * dj
+            inside = slice(None) if mask is keep else _exact_keep(
+                Fraction(spec.beta), n, m, [rect.exact or edges] * n.size)
+            found.append(np.column_stack([n[inside], m[inside]]))
     idx = np.concatenate(found)
     return idx[np.lexsort((idx[:, 1], idx[:, 0]))]
 
@@ -479,7 +518,11 @@ def count_rects(beta: float, a, b, c, d) -> np.ndarray:
     for owner, t, lo, nj, keep, near in _blocks(beta, a, b, c, d):
         inside = keep.sum(axis=0)
         if near.any():
-            rows, n, m = _indices(t, lo, nj, near)
+            # the indices (n, m) of the near candidates: one column per box
+            cand, rows = np.nonzero(near)
+            i, j = lo[0, rows] + cand // nj, lo[1, rows] + cand % nj
+            u = np.take(_BASES, t[rows], axis=2)
+            n, m = u[0, 0] * i + u[0, 1] * j, u[1, 0] * i + u[1, 1] * j
             o = owner[rows]
             kept = _exact_keep(Fraction(beta), n, m, zip(*(e[o].tolist() for e in (a, b, c, d))))
             inside += np.bincount(rows[kept], minlength=owner.size)

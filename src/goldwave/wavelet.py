@@ -106,7 +106,7 @@ class MotherWavelet:
         return float(grid[np.argmax(np.abs(self(grid)))])
 
     def _window(self, model: SignalModel, s: float) -> np.ndarray:
-        """conj(G(freqs / s)) on the model's bins, built once per scale."""
+        """conj(G(freqs / s)) / sqrt(T*s) on the model's bins, built once per scale."""
         grid = (model.length, model.duration)
         rows = self._windows.get(grid)
         if rows is None:  # one grid at a time; a local dict, right under threads too
@@ -114,7 +114,7 @@ class MotherWavelet:
             object.__setattr__(self, "_windows", {grid: rows})
         window = rows.get(s)
         if window is None:
-            window = _read_only(np.conj(self(model.freqs / s)))
+            window = _read_only(np.conj(self(model.freqs / s)) / math.sqrt(model.duration * s))
             if (len(rows) + 1) * (window.nbytes // 8) <= _WINDOW_FLOATS:
                 rows[s] = window
         return window
@@ -587,14 +587,13 @@ def cwt(f: SignalModel, w: MotherWavelet, points: np.ndarray | list) -> np.ndarr
 
 def cwt_regular(f: SignalModel, w: MotherWavelet, s: float) -> np.ndarray:
     """Wavelet coefficients at one scale on the regular grid x_r = r*T/N,
-    via a single inverse FFT of coeffs * conj(G(freqs / s)) / sqrt(T*s);
+    via a single inverse FFT of coeffs * (conj(G(freqs / s)) / sqrt(T*s));
     identical to ``cwt`` at those points up to rounding.  The window
-    conj(G(freqs / s)) is the one ``w`` keeps for the grid and scale."""
+    conj(G(freqs / s)) / sqrt(T*s) is the one ``w`` keeps for the grid and
+    scale."""
+    s = float(s)
     if not 0 < s < math.inf:
         raise ValueError(f"scale must be positive and finite, got {s}")
-    s = float(s)
     buf = np.zeros(f.length, dtype=complex)
-    row = buf[1 : f.length // 2]
-    np.multiply(f.coeffs, w._window(f, s), out=row)
-    row /= math.sqrt(f.duration * s)
+    np.multiply(f.coeffs, w._window(f, s), out=buf[1 : f.length // 2])
     return np.fft.ifft(buf, norm="forward", out=buf)

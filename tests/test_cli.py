@@ -33,7 +33,7 @@ def test_lattice_count_basic():
     assert rc == 0
     assert rep["result"]["count"] == 1
     assert rep["result"]["points"][0]["n"] == 0
-    assert rep["schema_version"] == 4
+    assert rep["schema_version"] == 5
     assert rep["config"]["beta"] == "1"
 
 
@@ -118,6 +118,15 @@ def test_lattice_count_decimal_and_exact_edges():
                         (",".join("%d/%d" % e.as_integer_ratio() for e in doubles), 1)):
         rc, rep, _ = run_json(["lattice", "count", "--rect", rect, "--beta", "1"])
         assert (rc, rep["result"]["count"]) == (0, count)
+
+
+def test_lattice_count_checks_an_exact_rect_by_its_exact_edges():
+    # both x edges round to the double 100000.0, but the exact rectangle is
+    # valid and holds (100000, 0), at x = 100000 and s = 100000*alpha
+    rc, rep, err = run_json(["lattice", "count", "--rect",
+                             "100000,100000.00000000000000000001,61803,61804", "--beta", "1"])
+    assert (rc, err) == (0, "")
+    assert [(p["n"], p["m"]) for p in rep["result"]["points"]] == [(100000, 0)]
 
 
 def test_cover_audit_pass_and_empty_reporting():
@@ -354,6 +363,30 @@ def test_removed_flags_are_usage_errors():
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def test_flags_of_another_scheme_or_family_are_usage_errors(tmp_path):
+    frame = "frame estimate --n 128 --smax 0.5 --scheme".split()
+    wavelet = "wavelet check --family".split()
+    cases = [[*frame, "golden", "--a", "5"], [*frame, "golden", "--b", "7"],
+             [*frame, "dyadic", "--delta", "9"], [*frame, "dyadic", "--beta", "3"],
+             [*wavelet, "gaussian_bump", "--order", "3"],
+             [*wavelet, "cauchy", "--center", "1"], [*wavelet, "cauchy", "--width", "0.1"]]
+    cfg = tmp_path / "run.cfg"
+    for argv in cases:
+        want = f"usage error: {argv[-2]} does not apply to {argv[-4]} {argv[-3]}\n"
+        assert run(argv) == (1, "", want), argv
+        cfg.write_text(f"{argv[-2][2:]} = {argv[-1]}\n")  # the same flag from a file
+        assert run(["--config", str(cfg), *argv[:-2]]) == (1, "", want), argv
+    # a report echoes the chosen scheme's or family's flags only, with their defaults
+    for argv, own, other in (([*frame, "golden"], {"delta": 0.35, "beta": None}, {"a", "b"}),
+                             ([*frame, "dyadic"], {"a": 2.0**0.25, "b": 1.0}, {"delta", "beta"}),
+                             ([*wavelet, "cauchy"], {"order": 6.0}, {"center", "width"}),
+                             ([*wavelet, "gaussian_bump"], {"center": 1.0, "width": 0.1},
+                              {"order"})):
+        rc, rep, _ = run_json(argv)
+        assert rc in (0, 2) and rep["schema_version"] == 5
+        assert {k: rep["config"][k] for k in own} == own and not other & set(rep["config"])
+
+
 def test_parser_is_shared_and_unchanged_by_an_error():
     good = ["lattice", "count", "--rect", "-0.5,0.5,-0.5,0.5", "--beta", "1"]
     alone = run(good)
@@ -387,6 +420,8 @@ def test_audit_over_cap_exits_2_without_int64_wrap():
     # an exponent refused before it is expanded into a power of ten
     ("lattice count --beta 1 --rect 0,1e-999999999,0,1", 1),
     ("lattice count --beta 1 --rect 0,1e300,0,1", 2),
+    # a valid exact width below the float range: no basis in the tables
+    ("lattice count --beta 1 --rect 0,1e-330,0,1", 2),
     ("lattice count --beta 1e-300 --rect 0,1,0,1", 2),
     ("lattice audit --mode min --area golden2 --aspect 1:inf", 1),
     ("lattice audit --mode min --area golden2 --window inf", 1),

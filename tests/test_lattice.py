@@ -358,12 +358,21 @@ def box_candidates(beta, a, b, c, d):
     return owner, u[0, 0] * i + u[0, 1] * j, u[1, 0] * i + u[1, 1] * j
 
 
-def exact_counts(beta, a, b, c, d) -> np.ndarray:
-    """count_rects without the float filter: every candidate of every box
-    decided by exact_inside."""
+def assert_exact(beta, a, b, c, d) -> None:
+    """count_rects, and enumerate_in_rect on each rectangle alone, against
+    the exact oracle: every candidate of every box decided by exact_inside,
+    the points of each rectangle listed in (n, m) order."""
     owner, n, m = box_candidates(beta, a, b, c, d)
     inside = exact_inside(beta, n, m, a[owner], b[owner], c[owner], d[owner])
-    return np.bincount(owner[inside], minlength=a.size)
+    owner, n, m = owner[inside], n[inside], m[inside]
+    counts = np.bincount(owner, minlength=a.size)
+    assert count_rects(beta, a, b, c, d).tolist() == counts.tolist()
+    order = np.lexsort((m, n, owner))
+    want = np.split(np.column_stack([n, m])[order], np.cumsum(counts)[:-1])
+    spec = LatticeSpec(beta=beta)
+    for r, rows in enumerate(want):
+        got = enumerate_in_rect(spec, Rect(a[r], b[r], c[r], d[r]))
+        assert got.dtype == np.int64 and np.array_equal(got, rows), r
 
 
 @pytest.mark.parametrize("mode", ["min", "max"])
@@ -379,8 +388,7 @@ def test_float_filter_on_zero_nudge_anchored_rects(mode):
             a, b, c, d = gx - w, gx, gs - area / w, gs
         else:
             a, b, c, d = gx, gx + w, gs, gs + area / w
-        counts = count_rects(1.0, a, b, c, d)
-        assert counts.tolist() == exact_counts(1.0, a, b, c, d).tolist()
+        assert_exact(1.0, a, b, c, d)
 
 
 @pytest.mark.parametrize("centre", [1e3, 1e6, 1e9, 2.0**40])
@@ -403,9 +411,8 @@ def test_float_filter_at_plain_float_lattice_coordinates(centre, beta):
     b, d = a + w, c + h
     ok = (a < b) & (c < d)
     a, b, c, d = a[ok], b[ok], c[ok], d[ok]
-    counts = count_rects(beta, a, b, c, d)
-    assert counts.sum() > k
-    assert counts.tolist() == exact_counts(beta, a, b, c, d).tolist()
+    assert count_rects(beta, a, b, c, d).sum() > k
+    assert_exact(beta, a, b, c, d)
 
 
 def test_float_filter_on_extreme_cover_cells():
@@ -414,7 +421,7 @@ def test_float_filter_on_extreme_cover_cells():
         rects = [cell(delta, k, l) for l in (-30, 30) for k in range(-60, 61)]
         a, b, c, d = (np.array(v) for v in zip(*(r.edges() for r in rects)))
         beta = beta_for_delta(delta)
-        assert count_rects(beta, a, b, c, d).tolist() == exact_counts(beta, a, b, c, d).tolist()
+        assert_exact(beta, a, b, c, d)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.7, 1.3e-3, 123.0])
@@ -442,7 +449,7 @@ def test_float_filter_at_compensated_coordinates_of_large_indices(beta):
     ok = (a < b) & (c < d)
     a, b, c, d = a[ok], b[ok], c[ok], d[ok]
     assert a.size > 1500
-    assert count_rects(beta, a, b, c, d).tolist() == exact_counts(beta, a, b, c, d).tolist()
+    assert_exact(beta, a, b, c, d)
 
 
 def test_edges_on_the_float_product_of_a_lattice_coordinate():
@@ -509,6 +516,56 @@ def test_float_filter_with_scales_beyond_the_float_range():
     edges = [np.array([v]) for v in (0.0, 1e9, 0.0, 1e-9)]
     assert count_rects(1e300, *edges).tolist() == [1]
     assert enumerate_in_rect(LatticeSpec(1e300), Rect(0.0, 1e9, 0.0, 1e-9)).tolist() == [[0, 0]]
+    # so does beta below 2**-960, where beta*P may be subnormal
+    assert_exact(1e-300, *(np.array([v]) for v in (-2e-300, 3e-299, 1e-300, 1.7e-299)))
+
+
+def test_indices_beyond_2_52_raise_on_both_paths():
+    # at x = 6.3e15 the points of [x, x + 4) x [0, 1) have n near 4.6e15 > 2**52
+    with pytest.raises(EnumerationCapError, match="2\\*\\*52"):
+        count_rects(1.0, np.array([6.3e15]), np.array([6.3e15 + 4]), np.zeros(1), np.ones(1))
+    with pytest.raises(EnumerationCapError, match="2\\*\\*52"):
+        enumerate_in_rect(LatticeSpec(1.0), Rect(6.3e15, 6.3e15 + 4, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.7, 1.3e-3, 123.0])
+def test_one_rectangle_at_lattice_points_and_one_ulp_off(beta):
+    # every edge on a float lattice coordinate beta*(n - m*alpha) or
+    # beta*(m + n*alpha), or one ulp below or above it, on the closed or
+    # on the open side
+    rng = np.random.default_rng(int(beta * 100) + 7)
+    k = 1500
+    n, m, n2, m2 = rng.integers(-10**6, 10**6, size=(4, k)).astype(float)
+    w, h = beta * np.exp(rng.uniform(-2.0, 2.0, (2, k)))
+    gx, gs = (np.nextafter(g, g + rng.choice([-np.inf, 0.0, np.inf], k))
+              for g in (beta * (n - m * ALPHA_FLOAT), beta * (m2 + n2 * ALPHA_FLOAT)))
+    right, top = rng.integers(0, 2, (2, k)).astype(bool)
+    a, c = np.where(right, gx - w, gx), np.where(top, gs - h, gs)
+    assert_exact(beta, a, np.where(right, gx, gx + w), c, np.where(top, gs, gs + h))
+
+
+def test_one_rectangle_with_more_candidates_than_a_block():
+    # boxes of 2 to 6 pieces of _BLOCK candidates, square and long
+    a, b = np.array([-300.0, -2e4, 17.3]), np.array([300.0, 2e4, 417.9])
+    c, d = np.array([-300.0, 3.1, -250.2]), np.array([300.0, 8.6, 120.4])
+    assert_exact(0.93, a, b, c, d)
+    assert (_boxes(0.93, a, b, c, d)[2].prod(axis=0) > 2 * _BLOCK).all()
+
+
+def test_exact_rectangle_narrower_than_a_double():
+    # exact edges 1e-30 apart round to one double (or to two in either
+    # order); the rectangle is checked by its exact edges alone, and holds
+    # the lattice point on its closed corner
+    tiny = 10**30
+    for n0, m0, beta in ((3, 5, Fraction(1)), (-700, 1200, Fraction(2, 3)), (10**6, -3, Fraction(5))):
+        p, r = beta.numerator, beta.denominator
+        x0, s0 = GoldenNumber(p * n0, -p * m0), GoldenNumber(p * m0, p * n0)
+        rect = Rect.from_exact((x0, r), (x0 * tiny + r, r * tiny), (s0, r), (s0 * tiny + r, r * tiny))
+        assert abs(rect.b - rect.a) < 1e-6 and abs(rect.d - rect.c) < 1e-6
+        assert enumerate_in_rect(LatticeSpec(beta=beta), rect).tolist() == [[n0, m0]]
+    # a width below the float range has no basis in the tables
+    with pytest.raises(EnumerationCapError, match="reduced basis"):
+        enumerate_in_rect(LatticeSpec(1), Rect.from_exact(0, Fraction(1, 10**330), 0, 1))
 
 
 def test_count_rects_empty_batch():

@@ -378,7 +378,7 @@ def test_cwt_regular_is_the_scaled_inverse_fft_bit_for_bit():
     xi = np.arange(1, f.length // 2) / f.duration
     for s in np.geomspace(0.1 / 2**6, 0.1, 256):
         buf = np.zeros(f.length, dtype=complex)
-        buf[1 : f.length // 2] = f.coeffs * np.conj(w(xi / s)) / math.sqrt(f.duration * s)
+        buf[1 : f.length // 2] = f.coeffs * (np.conj(w(xi / s)) / math.sqrt(f.duration * s))
         assert np.array_equal(cwt_regular(f, w, s), np.fft.ifft(buf) * f.length)
     # the model's bins and frequencies are built once, read-only
     assert f.freqs is f.freqs and f.bins is f.bins
@@ -449,7 +449,7 @@ def test_cwt_input_validation():
 def uncached_row(f, w, s):
     """``cwt_regular`` by its formula, with a window built on every call."""
     buf = np.zeros(f.length, dtype=complex)
-    buf[1 : f.length // 2] = f.coeffs * np.conj(w(f.freqs / s)) / math.sqrt(f.duration * s)
+    buf[1 : f.length // 2] = f.coeffs * (np.conj(w(f.freqs / s)) / math.sqrt(f.duration * s))
     return np.fft.ifft(buf, norm="forward")
 
 
