@@ -299,6 +299,7 @@ def test_count_rects_agrees_with_enumeration():
     for i in range(0, 300, 17):
         rect = Rect(float(a[i]), float(a[i] + w[i]), float(c[i]), float(c[i] + h[i]))
         assert counts[i] == count_in_rect(LatticeSpec(beta=0.7), rect)
+    assert_exact(0.7, a, a + w, c, c + h)
 
 
 def test_count_rects_on_x_translates():
@@ -307,6 +308,7 @@ def test_count_rects_on_x_translates():
     for i in range(0, 500, 31):
         rect = Rect(float(xs[i]), float(xs[i] + 2.5), 1.0, 2.2)
         assert counts[i] == count_in_rect(LatticeSpec(beta=0.618), rect)
+    assert_exact(0.618, xs, xs + 2.5, np.full(500, 1.0), np.full(500, 2.2))
 
 
 def index_scan_count(rect: Rect, beta: float = 1.0) -> int:
@@ -333,6 +335,7 @@ def test_count_rects_on_anchored_rects(mode, aspect):
             rect = Rect(float(a[i]), float(b[i]), float(c[i]), float(d[i]))
             assert counts[i] == count_in_rect(LatticeSpec(beta=1.0), rect)
             assert counts[i] == index_scan_count(rect)
+        assert_exact(1.0, a, b, c, d)
 
 
 def test_count_rects_on_extreme_cover_cells():
@@ -344,6 +347,7 @@ def test_count_rects_on_extreme_cover_cells():
         counts = count_rects(beta, a, b, c, d)
         assert counts.min() >= 1 and counts.max() <= 12
         assert counts.tolist() == [count_in_rect(LatticeSpec(beta=beta), r) for r in rects]
+        assert_exact(beta, a, b, c, d)
 
 
 def box_candidates(beta, a, b, c, d):
@@ -545,7 +549,7 @@ def test_one_rectangle_at_lattice_points_and_one_ulp_off(beta):
 
 
 def test_one_rectangle_with_more_candidates_than_a_block():
-    # boxes of 2 to 6 pieces of _BLOCK candidates, square and long
+    # boxes of 4 to 9 pieces of at most _BLOCK candidates, square and long
     a, b = np.array([-300.0, -2e4, 17.3]), np.array([300.0, 2e4, 417.9])
     c, d = np.array([-300.0, 3.1, -250.2]), np.array([300.0, 8.6, 120.4])
     assert_exact(0.93, a, b, c, d)
