@@ -142,9 +142,10 @@ def audit_cover(
         if not 0 < width < math.inf:
             raise EnumerationCapError(f"cells of row l={l} leave the double-precision range")
         rows.append((width, s_lo, s_hi))
-    width, s_lo, s_hi = (np.repeat(v, k_hi - k_lo + 1) for v in np.array(rows).T)
-    ks = np.tile(np.arange(k_lo, k_hi + 1), l_hi - l_lo + 1)
-    counts = count_rects(beta, ks * width, (ks + 1) * width, s_lo, s_hi)
+    width, s_lo, s_hi = np.array(rows).T
+    ks = np.arange(k_lo, k_hi + 2, dtype=float)  # cell edges k*w, row by row, with no other copy
+    counts = count_rects(beta, np.outer(width, ks[:-1]).ravel(), np.outer(width, ks[1:]).ravel(),
+                         np.repeat(s_lo, ks.size - 1), np.repeat(s_hi, ks.size - 1))
     empty = [(k_lo + int(i) % (k_hi - k_lo + 1), l_lo + int(i) // (k_hi - k_lo + 1))
              for i in np.flatnonzero(counts == 0)[:100]]
     values, freqs = np.unique(counts, return_counts=True)

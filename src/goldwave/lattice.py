@@ -98,8 +98,8 @@ ExactEdge = int | Fraction | GoldenNumber | tuple[GoldenNumber, int]
 
 _DEFAULT_CAP = 100_000_000  # candidates per call
 _INDEX_LIMIT = 2.0**52  # lattice_coords is exact for smaller indices
-_BOX_TOL = 1e-12  # relative widening of the candidate boxes, ~4500 ulps
-_BLOCK = 1 << 16  # candidates checked per vectorized step
+_BOX_TOL = 11 * 2.0**-53  # widening of the candidate boxes per unit of q (see _boxes)
+_BLOCK = 1 << 13  # candidates checked per vectorized step
 
 
 class EnumerationCapError(RuntimeError):
@@ -217,21 +217,20 @@ _FIB = np.array([fibonacci(abs(i)) * (-1 if i < 0 and i % 2 == 0 else 1)
 # Tables over the powers p, |p| <= 75, at the position p + 75: the index
 # basis V**-p, shape (2, 2, 151), whose columns u[:, 0] and u[:, 1] are
 # index pairs (n, m), with entries F_{1-p}, -F_{-p}, -F_{-p}, F_{-1-p};
-# phi**p and (-1)**p for the boxes; the largest row sum of |V**-p|, which
-# bounds the indices of a box; and phi**-p and (-phi)**p, the scales of
-# V**-p in x and in s, correctly rounded from alpha to 200 bits
+# the largest row sum of |V**-p|, which bounds the indices of a box;
+# phi**-p and (-phi)**p, the scales of V**-p in x and in s, and phi**p and
+# (-alpha)**p, those of its box times beta, all correctly rounded
 _POWERS = np.arange(-_MAX_POWER, _MAX_POWER + 1)
 _T = _MAX_POWER + 1 - _POWERS  # the position of F_{-p} in _FIB
 _BASES = np.array([[_FIB[_T + 1], -_FIB[_T]], [-_FIB[_T], _FIB[_T - 1]]])
-_PHI_POW = _PHI ** _POWERS.astype(float)
-_PARITY = 1.0 - 2.0 * (_POWERS % 2)
 _ROW_SUM = np.abs(_BASES).sum(axis=1).max(axis=0).astype(float)
 _UNIT_X = np.array([float(int(n) - int(m) * _ALPHA_200) for n, m in _BASES[:, 0].T])
 _UNIT_S = np.array([float(int(m) + int(n) * _ALPHA_200) for n, m in _BASES[:, 1].T])
+_BOX_X, _BOX_S = np.abs(_UNIT_S), np.copysign(_UNIT_X, _UNIT_S)
 _MARGIN = 2.0**-48  # the float filter's margin per unit of its error scale
 _DET = 1.0 + ALPHA_FLOAT**2  # det A
 # the tables as Python numbers, one tuple per position, for one rectangle
-_ENTRIES = list(zip(_PHI_POW.tolist(), _PARITY.tolist(), _ROW_SUM.tolist(), _UNIT_X.tolist(),
+_ENTRIES = list(zip(_BOX_X.tolist(), _BOX_S.tolist(), _ROW_SUM.tolist(), _UNIT_X.tolist(),
                     _UNIT_S.tolist(), _BASES.reshape(4, -1).T.tolist()))
 
 
@@ -243,16 +242,18 @@ def _positions(p: np.ndarray) -> np.ndarray:
     return p.astype(np.intp) + _MAX_POWER
 
 
-def _check_indices(u, lo, size) -> None:
-    """Raise EnumerationCapError unless every index of the boxes is below
-    2**52 (indices are linear over a box, so its corners bound them)."""
-    # bound on the int64 products below, which may cancel to small indices
-    reach = (np.abs(u) * np.maximum(np.abs(lo), np.abs(lo + size))).sum(axis=1)
-    lo, size = lo.astype(np.int64), size.astype(np.int64)
-    i, j = np.stack([lo, lo + np.maximum(size - 1, 0)]).transpose(1, 0, 2)
-    if not ((reach < 2.0**62).all() and all(
-            (np.abs(row[0] * i[:, None] + row[1] * j) < _INDEX_LIMIT).all() for row in u)):
-        raise EnumerationCapError("candidate box needs lattice indices beyond 2**52")
+def _check_indices(u, i0, j0, ni, nj) -> None:
+    """Raise EnumerationCapError unless every candidate (i, j) of the boxes
+    i0 <= i < i0 + ni, j0 <= j < j0 + nj has indices u @ (i, j) below 2**52
+    and |i|, |j| below 2**62, where int64 sums stay exact.  Both are linear
+    over a box, so its corners bound them, here exactly, in Python ints."""
+    for (u00, u01, u10, u11), *box in zip(u.reshape(4, -1).T.tolist(), i0, j0, ni, nj):
+        i0, j0, ni, nj = map(int, box)
+        corners = [(i, j) for i in (i0, i0 + max(ni - 1, 0)) for j in (j0, j0 + max(nj - 1, 0))]
+        if any(max(abs(i), abs(j)) >= 2**62 or max(abs(u00 * i + u01 * j),
+                                                   abs(u10 * i + u11 * j)) >= 2**52
+               for i, j in corners):
+            raise EnumerationCapError("candidate box needs lattice indices beyond 2**52")
 
 
 def _boxes(beta: float, a, b, c, d):
@@ -265,16 +266,31 @@ def _boxes(beta: float, a, b, c, d):
 
     u = V**-p, p = rint(log_phi sqrt(h/w)) for a w x h rectangle, maps the
     point of (i, j) to the point of (i, j) times (phi**-p, (-alpha)**-p).
-    So the box is the integer hull of A**-1 = [[1, alpha], [-alpha, 1]] /
-    (1 + alpha**2) on the corners of [a, b)*phi**p/beta x
-    [c, d)*(-alpha)**p/beta, widened by a relative tolerance far above
-    float rounding.  Both box coordinates are monotone in x and in s, and
-    float rounding keeps that order, so each extreme is the value at one
-    corner.  Boxes whose index bound reaches 2**51 get the exact corner
-    check.  t, lo and size are integer arrays, q is float.  Raises
-    EnumerationCapError when the boxes hold more than the cap of candidates
-    in total or reach indices beyond 2**52, where ``lattice_coords`` stops
-    being exact.
+    So the box is the integer hull of i = (X + alpha*S)/D, j = (S -
+    alpha*X)/D, D = 1 + alpha**2, over X in [a, b)*Kx, S in [c, d)*Ks, Kx =
+    phi**p/beta, Ks = (-alpha)**p/beta.  Both are monotone in X and S, as
+    is their rounding, so each extreme lies at one corner, as I_lo = (X_a +
+    alpha*S_lo)/D.  Let u = 2**-53 and Q the largest exact |corner|.
+    ``_BOX_X`` and ``_BOX_S`` are correctly rounded, and A = fl(alpha) and
+    ``_DET`` within 0.8u of alpha and 0.4u of D.  So kx and ks are within
+    2u of Kx and Ks, x_a = fl(a*kx) and the like within 3u, fl(A*s_lo)
+    within 4.7u, the sum adds u*D*|I_lo| and the division 1.4u*|I_lo|:
+    i_lo is within (2.9*|X_a| + 4.7*alpha*|S_lo|)*u/D + 2.4u*|I_lo| of
+    I_lo.  (X_a, S_lo) is the point of (I_lo, j) for a j in [J_lo, J_hi],
+    so |X_a| <= |I_lo| + alpha*|j| and |S_lo| <= |j| + alpha*|I_lo|, which
+    puts that under 9.2u*Q, as for the other corners.  With q the largest
+    float |corner|, Q <= (1 + 9.3u)*q, and fl(i_lo - tol) rounds by at most
+    u*(q + tol), so tol = 11u*q (``_BOX_TOL``) keeps the box around the
+    exact one.  Results below 2**-1022 round by up to 2**-1075; in kx or ks
+    times an edge below 2**1024, that moves a corner by under 2**-50, which
+    tol adds.  Inf or nan corners, from overflow, exceed the cap.
+
+    Boxes whose index bound reaches 2**51 get the exact corner check.  t,
+    lo and size are integer arrays, q is float.  Raises EnumerationCapError
+    when the boxes hold more than the cap of candidates in total or reach
+    indices beyond 2**52, where ``lattice_coords`` stops being exact.
+    Working memory: at most about 12 floats per rectangle besides the edges
+    (see ``count_rects``).
     """
     # widths beyond the float range and the huge boxes that go with them
     # overflow to inf; the checks below turn that into EnumerationCapError
@@ -287,19 +303,28 @@ def _boxes(beta: float, a, b, c, d):
             raise ValueError(
                 f"need finite beta > 0 (got {beta}) and finite edges, a < b, c < d")
         t = _positions(np.rint(np.log(np.sqrt(h) / np.sqrt(w)) / math.log(_PHI)))
-        phi_p = _PHI_POW[t]
-        kx = phi_p / beta
-        ks = _PARITY[t] / (phi_p * beta)  # (-alpha)**p / beta
-        x_a, x_b = a * kx, b * kx
-        s_c, s_d = c * ks, d * ks
-        s_lo, s_hi = np.minimum(s_c, s_d), np.maximum(s_c, s_d)
-        i_lo, i_hi = (x_a + ALPHA_FLOAT * s_lo) / _DET, (x_b + ALPHA_FLOAT * s_hi) / _DET
-        j_lo, j_hi = (s_lo - ALPHA_FLOAT * x_b) / _DET, (s_hi - ALPHA_FLOAT * x_a) / _DET
+        del w, h
+        # from here on, a result reuses the array of an input read for the last time
+        kx, ks = _BOX_X[t] / beta, _BOX_S[t] / beta
+        x_b, s_d = b * kx, d * ks
+        x_a, s_c = np.multiply(a, kx, out=kx), np.multiply(c, ks, out=ks)
+        s_lo, s_hi = np.minimum(s_c, s_d), np.maximum(s_c, s_d, out=s_d)
+        i_lo = np.add(x_a, ALPHA_FLOAT * s_lo, out=s_c)
+        j_lo = np.subtract(s_lo, ALPHA_FLOAT * x_b, out=s_lo)
+        i_hi = np.add(x_b, ALPHA_FLOAT * s_hi, out=x_b)
+        j_hi = np.subtract(s_hi, ALPHA_FLOAT * x_a, out=s_hi)
+        del x_a, kx
+        for v in (i_lo, j_lo, i_hi, j_hi):
+            v /= _DET
         q = np.maximum(np.maximum(-i_lo, i_hi), np.maximum(-j_lo, j_hi))
-        tol = _BOX_TOL * q
-        lo = np.stack([np.ceil(i_lo - tol), np.ceil(j_lo - tol)])
-        size = np.stack([np.floor(i_hi + tol), np.floor(j_hi + tol)]) - lo + 1
-        total = np.sum(size[0] * size[1])
+        tol = q * _BOX_TOL + 2.0**-50
+        # i_lo, j_lo become the first corners of the boxes, i_hi, j_hi their sizes
+        for lo, hi in ((i_lo, i_hi), (j_lo, j_hi)):
+            np.ceil(np.subtract(lo, tol, out=lo), out=lo)
+            np.floor(np.add(hi, tol, out=hi), out=hi)
+            hi -= lo
+            hi += 1
+        total = np.sum(i_hi * j_hi)
         q += tol + 1
     if not total <= _DEFAULT_CAP:
         raise EnumerationCapError(
@@ -307,8 +332,8 @@ def _boxes(beta: float, a, b, c, d):
         )
     far = np.flatnonzero(~(_ROW_SUM[t] * q < 2.0**51))
     if far.size:
-        _check_indices(_BASES[..., t[far]], lo[:, far], size[:, far])
-    return t, lo.astype(np.int64), size.astype(np.int64), q
+        _check_indices(_BASES[..., t[far]], i_lo[far], j_lo[far], i_hi[far], j_hi[far])
+    return t, np.array([i_lo, j_lo], np.int64), np.array([i_hi, j_hi], np.int64), q
 
 
 def _filter(beta: float, unit_x, unit_s, row_sum, q):
@@ -332,7 +357,7 @@ def _blocks(beta: float, a, b, c, d):
     Rectangles with an empty box are skipped.  Boxes are cut along i into
     pieces of at most ``_BLOCK`` candidates (or one row), so memory stays
     bounded, and pieces of one shape, found by one stable sort, are checked
-    together.
+    together.  Each block forms the thresholds of its own edges.
 
     The float filter.  The candidate (i, j) of a box of power p is the
     point x = phi**-p*(i - alpha*j), s = (-phi)**p*(j + alpha*i), and the
@@ -360,10 +385,9 @@ def _blocks(beta: float, a, b, c, d):
     subnormal.  ``_filter`` gives the scales, margins and that rule.
     """
     t, lo, size, q = _boxes(beta, a, b, c, d)
-    cells = size[0] * size[1]
-    owner = np.flatnonzero(cells)
+    owner = np.flatnonzero(size[0] * size[1])
     lo, size = np.take(lo, owner, axis=1), np.take(size, owner, axis=1)
-    if cells.max(initial=0) > _BLOCK:
+    if (size[0] * size[1]).max(initial=0) > _BLOCK:
         # cut along i: pieces of `rows` rows, the last one shorter
         rows = np.maximum(_BLOCK // size[1], 1)
         pieces = -(-size[0] // rows)
@@ -377,36 +401,36 @@ def _blocks(beta: float, a, b, c, d):
     # numpy sorts 16-bit keys stably by radix
     order = np.argsort(key.astype(np.int16) if key.max(initial=0) < 2**15 else key, kind="stable")
     key, owner, lo = key[order], owner[order], np.take(lo, order, axis=1)
+    del order, size
     starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
-    # the float filter: scales, margins and thresholds per box
+    # the float filter: scales and margins per box, thresholds per block
     t, q = t[owner], q[owner]
     # scales and margins of the boxes left unusable below may overflow
     with np.errstate(over="ignore"):
         kx, ks, mx, ms, usable = _filter(beta, _UNIT_X[t], _UNIT_S[t], _ROW_SUM[t], q)
-    margin = np.stack([mx, mx, ms, ms])
+    del q
     if not usable.all():
         # every candidate near; zero scales keep x~ and s~ finite
-        margin[:, ~usable] = np.inf
+        mx[~usable] = ms[~usable] = np.inf
         kx[~usable] = ks[~usable] = 0.0
-    edges = np.stack([a[owner], b[owner], c[owner], d[owner]])
-    (a_lo, b_lo, c_lo, d_lo), (a_hi, b_hi, c_hi, d_hi) = edges - margin, edges + margin
-    i_lo, j_lo = lo.astype(float)
     for start, stop in zip(starts, [*starts[1:], owner.size]):
         ni, nj = divmod(int(key[start]), width)
         di, dj = np.divmod(np.arange(ni * nj, dtype=float)[:, None], nj)
         step = max(1, _BLOCK // (ni * nj))
         for first in range(start, stop, step):
             r = slice(first, min(first + step, stop))
-            i, j = i_lo[r] + di, j_lo[r] + dj
+            o, mx_r, ms_r = owner[r], mx[r], ms[r]
+            i, j = lo[0, r] + di, lo[1, r] + dj
             x = ALPHA_FLOAT * j
             np.subtract(i, x, out=x)
             x *= kx[r]
             s = ALPHA_FLOAT * i
             s += j
             s *= ks[r]
-            keep = (x >= a_hi[r]) & (x < b_lo[r]) & (s >= c_hi[r]) & (s < d_lo[r])
-            near = keep | (x < a_lo[r]) | (x > b_hi[r]) | (s < c_lo[r]) | (s > d_hi[r])
-            yield owner[r], t[r], lo[:, r], nj, keep, ~near
+            ea, eb, ec, ed = a[o], b[o], c[o], d[o]
+            keep = (x >= ea + mx_r) & (x < eb - mx_r) & (s >= ec + ms_r) & (s < ed - ms_r)
+            near = keep | (x < ea - mx_r) | (x > eb + mx_r) | (s < ec - ms_r) | (s > ed + ms_r)
+            yield o, t[r], lo[:, r], nj, keep, ~near
 
 
 def _exact_keep(beta: Fraction, n, m, rects) -> np.ndarray:
@@ -438,8 +462,8 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
     ``_boxes``, the filter of ``_blocks`` and ``_exact_keep`` for the exact
     edges if any and beta as given.  An exact edge g/q, g in Z[alpha], has
     a float value within 2**-51*(|g.a| + |g.b|)/q of it (``to_float`` may
-    cancel): three times that widens its margin and four times that its
-    box, so the exact edges alone make the rectangle valid.
+    cancel): three times that widens its margin, and four times that moves
+    it out for the box, so the exact edges alone make the rectangle valid.
     """
     edges = tuple(map(float, rect.edges()))
     if rect.exact is None and not all(map(math.isfinite, edges)):
@@ -452,13 +476,13 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
     p = round(math.log(ratio) / math.log(_PHI)) if 0 < ratio < math.inf else math.inf  # as np.rint
     if not abs(p) <= _MAX_POWER:
         raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
-    phi_p, parity, row_sum, unit_x, unit_s, (u00, u01, u10, u11) = _ENTRIES[p + _MAX_POWER]
-    kx, ks = phi_p / beta, parity / phi_p / beta  # phi_p * beta may underflow to 0
+    box_x, box_s, row_sum, unit_x, unit_s, (u00, u01, u10, u11) = _ENTRIES[p + _MAX_POWER]
+    kx, ks = box_x / beta, box_s / beta
     s_lo, s_hi = sorted((c * ks, d * ks))
     i_lo, i_hi = (a * kx + ALPHA_FLOAT * s_lo) / _DET, (b * kx + ALPHA_FLOAT * s_hi) / _DET
     j_lo, j_hi = (s_lo - ALPHA_FLOAT * (b * kx)) / _DET, (s_hi - ALPHA_FLOAT * (a * kx)) / _DET
     q = max(-i_lo, i_hi, -j_lo, j_hi)
-    tol = _BOX_TOL * q
+    tol = q * _BOX_TOL + 2.0**-50
     try:
         i0, j0 = math.ceil(i_lo - tol), math.ceil(j_lo - tol)
         ni, nj = math.floor(i_hi + tol) + 1 - i0, math.floor(j_hi + tol) + 1 - j0
@@ -469,7 +493,7 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
         raise EnumerationCapError(f"candidate boxes of {cells:.3g} cells exceed cap {_DEFAULT_CAP}")
     q += tol + 1
     if not row_sum * q < 2.0**51:
-        _check_indices(_BASES[..., [p + _MAX_POWER]], *np.array([[[i0], [j0]], [[ni], [nj]]], "f8"))
+        _check_indices(_BASES[..., [p + _MAX_POWER]], [i0], [j0], [ni], [nj])
     kx, ks, mx, ms, usable = _filter(beta, unit_x, unit_s, row_sum, q)
     if not usable:  # every candidate near
         kx, ks, mx, ms = 0.0, 0.0, math.inf, math.inf
@@ -510,11 +534,15 @@ def count_rects(beta: float, a, b, c, d) -> np.ndarray:
     so each costs about as many candidates as a square of its area,
     whatever its aspect ratio.  The float filter of ``_blocks`` decides
     all candidates but the few near an edge, which ``_exact_keep`` decides
-    for the edges and beta read as dyadic rationals, and one
-    ``np.bincount`` adds up the counts of all blocks.
+    for the edges and beta read as dyadic rationals, and each block adds
+    its counts to those of its rectangles.
+
+    Working memory: about 18 floats per rectangle besides the edges, plus
+    a few arrays of ``_BLOCK``.  The peak sets the time of a warm call too:
+    the allocator gives freed heap back, and each call faults it in again.
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    owners, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    counts = np.zeros(a.size, dtype=np.int64)
     for owner, t, lo, nj, keep, near in _blocks(beta, a, b, c, d):
         inside = keep.sum(axis=0)
         if near.any():
@@ -526,9 +554,9 @@ def count_rects(beta: float, a, b, c, d) -> np.ndarray:
             o = owner[rows]
             kept = _exact_keep(Fraction(beta), n, m, zip(*(e[o].tolist() for e in (a, b, c, d))))
             inside += np.bincount(rows[kept], minlength=owner.size)
-        owners.append(owner)
-        sums.append(inside)
-    return np.bincount(np.concatenate(owners), np.concatenate(sums), a.size).astype(np.int64)
+        # the pieces of one cut box may share a block
+        np.add.at(counts, owner, inside)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +633,9 @@ def _run_audit(area, trials, seed, aspect_range, center_range, anchor_mode):
     rng = np.random.default_rng(seed)
     # sides beyond the float range come out inf or 0; count_rects rejects them
     with np.errstate(over="ignore", divide="ignore"):
-        ra, rb, rc, rd = _random_rects(rng, area, trials, aspect_range, center_range)
-        sa, sb, sc, sd = _anchored_rects(rng, area, n_sweep, aspect_range, anchor_mode)
-    a = np.concatenate([ra, sa])
-    b = np.concatenate([rb, sb])
-    c = np.concatenate([rc, sc])
-    d = np.concatenate([rd, sd])
+        a, b, c, d = map(np.concatenate, zip(
+            _random_rects(rng, area, trials, aspect_range, center_range),
+            _anchored_rects(rng, area, n_sweep, aspect_range, anchor_mode)))
     # a side far below the spacing of floats at the centre range rounds to
     # 0 (a + w == a), and one beyond the float range overflows
     for side, edge, lo, hi in (("width", "left", a, b), ("height", "lower", c, d)):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,10 @@ from goldwave.lattice import (
     _BLOCK,
     EnumerationCapError,
     _anchored_rects,
+    _blocks,
     _boxes,
     _positions,
+    _random_rects,
 )
 
 AREA_MIN = 2.0 + ALPHA_FLOAT  # smallest area forcing a point
@@ -311,15 +314,15 @@ def test_count_rects_on_x_translates():
     assert_exact(0.618, xs, xs + 2.5, np.full(500, 1.0), np.full(500, 2.2))
 
 
-def index_scan_count(rect: Rect, beta: float = 1.0) -> int:
+def index_scan_count(rect: Rect, beta: float = 1.0, pad: int = 2) -> int:
     """Points of beta*Gamma in ``rect`` from an unreduced scan: the box of
     indices (n, m) = ((x + alpha*s), (s - alpha*x)) / (beta*(1 + alpha**2))
-    over the corners, padded by 2, decided by exact_inside."""
+    over the corners, padded by ``pad``, decided by exact_inside."""
     corners = [(x / beta, s / beta) for x in (rect.a, rect.b) for s in (rect.c, rect.d)]
     ns = [(x + ALPHA_FLOAT * s) / (2 - ALPHA_FLOAT) for x, s in corners]
     ms = [(s - ALPHA_FLOAT * x) / (2 - ALPHA_FLOAT) for x, s in corners]
-    n, m = np.meshgrid(np.arange(math.floor(min(ns)) - 2, math.ceil(max(ns)) + 3),
-                       np.arange(math.floor(min(ms)) - 2, math.ceil(max(ms)) + 3))
+    n, m = np.meshgrid(np.arange(math.floor(min(ns)) - pad, math.ceil(max(ns)) + pad + 1),
+                       np.arange(math.floor(min(ms)) - pad, math.ceil(max(ms)) + pad + 1))
     return int(exact_inside(beta, n.ravel(), m.ravel(), *rect.edges()).sum())
 
 
@@ -524,6 +527,48 @@ def test_float_filter_with_scales_beyond_the_float_range():
     assert_exact(1e-300, *(np.array([v]) for v in (-2e-300, 3e-299, 1e-300, 1.7e-299)))
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.7, 1.3e-3, 123.0])
+def test_box_holds_the_lattice_point_on_its_closed_corner(beta):
+    # the corner (a, c) on the float coordinates of a point: whenever the
+    # point is in, the box's widening must cover the rounding of its corner
+    # (a box widened by one ulp of its bound misses hundreds of these)
+    rng = np.random.default_rng(int(beta * 10) + 2)
+    k = 5000
+    n, m = rng.integers(-10**6, 10**6, (2, k))
+    a, c = (beta * v for v in lattice_coords(n, m))
+    area = beta**2 * np.exp(rng.uniform(math.log(0.2), math.log(30.0), k))
+    w = np.sqrt(area * np.exp(rng.uniform(math.log(1e-4), math.log(1e4), k)))
+    b, d = a + w, c + area / w
+    inside = exact_inside(beta, n, m, a, b, c, d)
+    owner, cn, cm = box_candidates(beta, a, b, c, d)
+    found = np.zeros(k, dtype=bool)
+    found[owner[(cn == n[owner]) & (cm == m[owner])]] = True
+    assert inside.sum() > k // 5 and (found | ~inside).all()
+
+
+def test_box_of_a_small_rectangle_far_from_the_origin():
+    # [x, x + 4) x [0, 1) holds about 3 points; its box is widened by a few
+    # ulps of its index bound, not by 1e-12 of it (897 x 897 at x = 1e15)
+    for x, most in ((1e15, 16), (6e15, 100)):
+        edges = [np.array([v]) for v in (x, x + 4, 0.0, 1.0)]
+        assert _boxes(1.0, *edges)[2].prod() <= most
+        want = index_scan_count(Rect(x, x + 4, 0.0, 1.0), pad=8)
+        assert want >= 2 and count_rects(1.0, *edges).tolist() == [want]
+        assert_exact(1.0, *edges)
+
+
+def test_indices_below_2_52_with_large_box_coordinates():
+    # a box of power 40 whose coordinates times its basis reach 2**62,
+    # while every index stays below 2**23: both paths list its 3 points
+    beta = 0.9620609394239744
+    rect = Rect(-862954.3692644692, -862954.3692642367, 983022.3209488868, 19085286.73392891)
+    want = [[1169367, 3343428], [4693945, 9046315], [6872254, 12570893]]
+    assert enumerate_in_rect(LatticeSpec(beta), rect).tolist() == want
+    assert count_rects(beta, *(np.array([e]) for e in rect.edges())).tolist() == [3]
+    assert all(exact_member(Fraction(beta), n, m, [dyadic(e) for e in rect.edges()]) for n, m in want)
+    assert_exact(beta, *(np.array([e]) for e in rect.edges()))
+
+
 def test_indices_beyond_2_52_raise_on_both_paths():
     # at x = 6.3e15 the points of [x, x + 4) x [0, 1) have n near 4.6e15 > 2**52
     with pytest.raises(EnumerationCapError, match="2\\*\\*52"):
@@ -554,6 +599,44 @@ def test_one_rectangle_with_more_candidates_than_a_block():
     c, d = np.array([-300.0, 3.1, -250.2]), np.array([300.0, 8.6, 120.4])
     assert_exact(0.93, a, b, c, d)
     assert (_boxes(0.93, a, b, c, d)[2].prod(axis=0) > 2 * _BLOCK).all()
+
+
+def test_batch_over_several_blocks_counts_each_rectangle_alone():
+    # 400 rectangles of up to ~1e4 candidates: the batch spans many blocks
+    # of at most _BLOCK candidates, and the largest boxes are cut
+    rng = np.random.default_rng(29)
+    area = np.exp(rng.uniform(0.0, math.log(6000.0), 400))
+    w = np.sqrt(area * np.exp(rng.uniform(-4.0, 4.0, 400)))
+    a, c = rng.uniform(-300.0, 300.0, (2, 400))
+    b, d = a + w, c + area / w
+    assert sum(1 for _ in _blocks(0.8, a, b, c, d)) > 40
+    assert (_boxes(0.8, a, b, c, d)[2].prod(axis=0) > _BLOCK).any()
+    spec = LatticeSpec(beta=0.8)
+    assert count_rects(0.8, a, b, c, d).tolist() == [
+        count_in_rect(spec, Rect(*e)) for e in zip(a, b, c, d)]
+
+
+def peak_floats_per_rect(beta, a, b, c, d) -> float:
+    """The most memory that one warm count_rects call holds at once, in
+    float64s per rectangle, its inputs not counted."""
+    count_rects(beta, a, b, c, d)
+    tracemalloc.start()
+    try:
+        count_rects(beta, a, b, c, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 8 / a.size
+
+
+def test_count_rects_working_memory():
+    # 11,000 rectangles of a golden2 audit, and the 401 x 41 cells of a
+    # cover audit at delta = 0.6: at most 30 floats per rectangle (48 when
+    # every per-rectangle array stayed alive to the end of the call)
+    rects = _random_rects(np.random.default_rng(3), AREA_MIN, 11000, (1e-3, 1e3), 1e3)
+    assert peak_floats_per_rect(1.0, *rects) <= 30
+    cells = [cell(0.6, k, l).edges() for l in range(-20, 21) for k in range(-200, 201)]
+    assert peak_floats_per_rect(beta_for_delta(0.6), *map(np.array, zip(*cells))) <= 30
 
 
 def test_exact_rectangle_narrower_than_a_double():
