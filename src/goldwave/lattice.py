@@ -251,7 +251,7 @@ def _check_indices(u, i0, j0, ni, nj) -> None:
         i0, j0, ni, nj = map(int, box)
         corners = [(i, j) for i in (i0, i0 + max(ni - 1, 0)) for j in (j0, j0 + max(nj - 1, 0))]
         if any(max(abs(i), abs(j)) >= 2**62 or max(abs(u00 * i + u01 * j),
-                                                   abs(u10 * i + u11 * j)) >= 2**52
+                                                   abs(u10 * i + u11 * j)) >= _INDEX_LIMIT
                for i, j in corners):
             raise EnumerationCapError("candidate box needs lattice indices beyond 2**52")
 

@@ -548,7 +548,7 @@ def test_box_holds_the_lattice_point_on_its_closed_corner(beta):
 
 def test_box_of_a_small_rectangle_far_from_the_origin():
     # [x, x + 4) x [0, 1) holds about 3 points; its box is widened by a few
-    # ulps of its index bound, not by 1e-12 of it (897 x 897 at x = 1e15)
+    # ulps of its index bound (1e-12 of it gives 897 x 897 at x = 1e15)
     for x, most in ((1e15, 16), (6e15, 100)):
         edges = [np.array([v]) for v in (x, x + 4, 0.0, 1.0)]
         assert _boxes(1.0, *edges)[2].prod() <= most
@@ -631,8 +631,8 @@ def peak_floats_per_rect(beta, a, b, c, d) -> float:
 
 def test_count_rects_working_memory():
     # 11,000 rectangles of a golden2 audit, and the 401 x 41 cells of a
-    # cover audit at delta = 0.6: at most 30 floats per rectangle (48 when
-    # every per-rectangle array stayed alive to the end of the call)
+    # cover audit at delta = 0.6: at most 30 floats per rectangle, since a
+    # warm call faults its whole peak in again
     rects = _random_rects(np.random.default_rng(3), AREA_MIN, 11000, (1e-3, 1e3), 1e3)
     assert peak_floats_per_rect(1.0, *rects) <= 30
     cells = [cell(0.6, k, l).edges() for l in range(-20, 21) for k in range(-200, 201)]
