@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from numpy.linalg import LinAlgError
 
-from .covering import audit_cover
+from .covering import audit_cover, beta_for_delta
 from .framelab import (
     DYADIC_BASE,
     bounds_row,
@@ -42,7 +42,7 @@ from .wavelet import (
     normalize_tight,
 )
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # symbolic area aliases, evaluated in double precision from the exact forms
 _AREA_ALIASES = {
@@ -94,34 +94,29 @@ def _exact(text: str) -> Fraction:
     return value
 
 
-def _parse_numbers(text: str, n: int, flag: str, sep: str = ",", kind=_finite) -> list:
-    parts = text.split(sep)
-    if len(parts) != n:
-        raise UsageError(f"{flag} expects {n} values separated by {sep!r}, got {text!r}")
-    try:
-        return [kind(p) for p in parts]
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+def _values(kind, sep: str, n: int | None, what: str):
+    """argparse type of a list flag: n values (any number if None) of kind,
+    separated by sep; what names the form in the error."""
+    def parse(text: str) -> tuple:
+        parts = text.split(sep)
+        try:
+            if n is None or len(parts) == n:
+                return tuple(kind(p) for p in parts)
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+        raise argparse.ArgumentTypeError(f"expects {what}, got {text!r}")
+    return parse
 
 
-def _parse_range(text: str, flag: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise UsageError(f"{flag} expects lo:hi integers, got {text!r}") from None
-    return lo, hi
-
-
-def _parse_area(text: str) -> float:
+def _area(text: str) -> float:
+    """argparse type of --area: a finite number or an alias."""
     if text in _AREA_ALIASES:
         return _AREA_ALIASES[text]
     try:
         return _finite(text)
     except argparse.ArgumentTypeError:
-        raise UsageError(
-            f"area must be a finite number or one of {sorted(_AREA_ALIASES)}, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(
+            f"not a finite number or one of {sorted(_AREA_ALIASES)}: {text!r}") from None
 
 
 def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
@@ -147,14 +142,16 @@ def build_parser() -> _Parser:
     latsub = lat.add_subparsers(dest="subcommand", required=True)
     c = latsub.add_parser("count", parents=[shared],
                           help="count lattice points in a rectangle")
-    c.add_argument("--rect", required=True, help="a,b,c,d (half-open [a,b) x [c,d))")
-    c.add_argument("--beta", required=True, help="lattice scale (float or p/q)")
+    c.add_argument("--rect", type=_values(_exact, ",", 4, "a,b,c,d as numbers or p/q"),
+                   required=True, help="a,b,c,d (half-open [a,b) x [c,d))")
+    c.add_argument("--beta", type=_exact, required=True, help="lattice scale (float or p/q)")
     a = latsub.add_parser("audit", parents=[shared], help="randomized minimum/maximum count audit")
     a.add_argument("--mode", choices=["min", "max"], required=True)
-    a.add_argument("--area", required=True,
+    a.add_argument("--area", type=_area, required=True,
                    help=f"rectangle area; aliases: {sorted(_AREA_ALIASES)}")
     a.add_argument("--trials", type=int, default=10000)
-    a.add_argument("--aspect", default="0.001:1000", help="log-uniform aspect range lo:hi")
+    a.add_argument("--aspect", type=_values(_finite, ":", 2, "lo:hi numbers"),
+                   default="0.001:1000", help="log-uniform aspect range lo:hi")
     a.add_argument("--window", type=_finite, default=1000.0,
                    help="center placement half-width")
     a.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -165,8 +162,9 @@ def build_parser() -> _Parser:
     ca.add_argument("--delta", type=_finite, required=True)
     ca.add_argument("--beta", type=_finite, default=None,
                     help="defaults to delta / sqrt(2 + alpha)")
-    ca.add_argument("--k", default="-200:200", help="k index range lo:hi")
-    ca.add_argument("--l", default="-20:20", help="l index range lo:hi")
+    index_range = _values(int, ":", 2, "lo:hi integers")
+    ca.add_argument("--k", type=index_range, default="-200:200", help="k index range lo:hi")
+    ca.add_argument("--l", type=index_range, default="-20:20", help="l index range lo:hi")
 
     wav = sub.add_parser("wavelet", help="wavelet hypothesis checks")
     wavsub = wav.add_subparsers(dest="subcommand", required=True)
@@ -198,7 +196,8 @@ def build_parser() -> _Parser:
     fe.add_argument("--b", type=_finite, default=off, help="dyadic translation step (default 1)")
     add_model_flags(fe)
     fc = frsub.add_parser("compare", parents=[shared], help="golden vs density-matched dyadic table")
-    fc.add_argument("--deltas", required=True, help="comma-separated delta values")
+    fc.add_argument("--deltas", type=_values(_finite, ",", None, "comma-separated numbers"),
+                    required=True, help="comma-separated delta values")
     fc.add_argument("--format", choices=["json", "csv"], default="json")
     add_model_flags(fc)
     return p
@@ -288,65 +287,59 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _cmd_lattice_count(args) -> tuple[dict, int]:
-    edges = _parse_numbers(args.rect, 4, "--rect", kind=_exact)
-    (beta,) = _parse_numbers(args.beta, 1, "--beta", kind=_exact)
-    idx = enumerate_in_rect(LatticeSpec(beta=beta), Rect.from_exact(*edges))
+    idx = enumerate_in_rect(LatticeSpec(beta=args.beta), Rect.from_exact(*args.rect))
     result = {"count": len(idx)}
     if len(idx) <= 100:
         # float coordinates, for display; membership was decided exactly
         x, s = lattice_coords(*idx.T)
+        beta = float(args.beta)
         result["points"] = [
-            {"n": n, "m": m, "x": px * float(beta), "s": ps * float(beta)}
+            {"n": n, "m": m, "x": px * beta, "s": ps * beta}
             for (n, m), px, ps in zip(idx.tolist(), x.tolist(), s.tolist())
         ]
     return result, 0
 
 
-def _cmd_lattice_audit(args) -> tuple[dict, int]:
-    area = _parse_area(args.area)
-    lo, hi = _parse_numbers(args.aspect, 2, "--aspect", sep=":")
-    fn = audit_min_count if args.mode == "min" else audit_max_count
-    audit = fn(area, args.trials, seed=args.seed,
-               aspect_range=(lo, hi), center_range=args.window)
-    if args.mode == "min":
-        passed = audit.min_count >= 1
-        threshold = {"area_at_least": _AREA_ALIASES["golden2"], "min_count": 1}
+def _audit_verdict(mode: str, audit) -> tuple[dict | None, bool | None]:
+    """(threshold, passed) from the paper's count bound at the audit's area:
+    at least 1 point from area 2+alpha up, at most 1 up to 1/(3+2alpha) and
+    at most 12 up to 2+alpha; (None, None) where no bound applies."""
+    golden2, inv3p2a = _AREA_ALIASES["golden2"], _AREA_ALIASES["inv3p2a"]
+    if mode == "min":
+        if audit.area >= golden2:
+            return {"area_at_least": golden2, "min_count": 1}, audit.min_count >= 1
     else:
-        passed = audit.max_count <= 1
-        threshold = {"area_at_most": _AREA_ALIASES["inv3p2a"], "max_count": 1}
+        for limit, most in ((inv3p2a, 1), (golden2, 12)):
+            if audit.area <= limit:
+                return {"area_at_most": limit, "max_count": most}, audit.max_count <= most
+    return None, None
+
+
+def _cmd_lattice_audit(args) -> tuple[dict, int]:
+    fn = audit_min_count if args.mode == "min" else audit_max_count
+    audit = fn(args.area, args.trials, seed=args.seed,
+               aspect_range=args.aspect, center_range=args.window)
+    threshold, passed = _audit_verdict(args.mode, audit)
     return {
-        "area": area,
-        "trials": audit.trials,
-        "min_count": audit.min_count,
-        "max_count": audit.max_count,
+        **vars(audit),
         # exact p/q edges, which lattice count reads back as the same rectangle
         **{key: ["%d/%d" % e.as_integer_ratio() for e in getattr(audit, key).edges()]
            for key in ("witness_min", "witness_max")},
-        "histogram": {str(k): v for k, v in sorted(audit.histogram.items())},
+        "histogram": {str(k): v for k, v in audit.histogram.items()},
         "threshold": threshold,
         "passed": passed,
     }, 0
 
 
 def _cmd_cover_audit(args) -> tuple[dict, int]:
-    audit = audit_cover(
-        args.delta,
-        beta=args.beta,
-        k_range=_parse_range(args.k, "--k"),
-        l_range=_parse_range(args.l, "--l"),
-    )
+    audit = audit_cover(args.delta, beta=args.beta, k_range=args.k, l_range=args.l)
+    # the window [1, 12] holds at the default beta(delta) alone
+    at_default = audit.beta == beta_for_delta(audit.delta)
     return {
-        "delta": audit.delta,
-        "beta": audit.beta,
-        "k_range": list(audit.k_range),
-        "l_range": list(audit.l_range),
-        "cells_checked": audit.cells_checked,
-        "min_count": audit.min_count,
-        "max_count": audit.max_count,
-        "histogram": {str(k): v for k, v in sorted(audit.histogram.items())},
-        "empty_cells": [list(c) for c in audit.empty_cells],
+        **vars(audit),
+        "histogram": {str(k): v for k, v in audit.histogram.items()},
         "empty_cell_total": audit.histogram.get(0, 0),
-        "passed": audit.min_count >= 1 and audit.max_count <= 12,
+        "passed": audit.min_count >= 1 and audit.max_count <= 12 if at_default else None,
     }, 0
 
 
@@ -416,9 +409,8 @@ def _cmd_frame_estimate(args) -> tuple[dict, int]:
 
 
 def _cmd_frame_compare(args) -> tuple[dict, int]:
-    deltas = _parse_numbers(args.deltas, args.deltas.count(",") + 1, "--deltas")
     w, model, region, band = _frame_setup(args)
-    rows = compare_schemes(deltas, w, model, region, band)
+    rows = compare_schemes(args.deltas, w, model, region, band)
     return {"band": list(band), "rows": rows}, 0
 
 
@@ -441,12 +433,12 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "format", "json") == "csv":  # frame compare only
             text = comparison_to_csv(result["rows"])
         else:
-            report = {
+            report = _sanitize({
                 "schema_version": SCHEMA_VERSION,
                 "command": f"{args.command} {args.subcommand}",
                 "config": _resolved_config(args),
-                "result": _sanitize(result),
-            }
+                "result": result,
+            })
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         _emit(args.output, text)
     # first: LinAlgError is a ValueError, but a failed solve is numerical
@@ -460,13 +452,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _sanitize(obj):
-    """JSON-safe copy: infinities and NaN become strings."""
+    """JSON-safe copy: infinities, NaN and Fractions (exact flag values)
+    become strings."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+    # type, not isinstance: Fraction's ABC check would cost ~0.2 us a value
+    if isinstance(obj, float) and not math.isfinite(obj) or type(obj) is Fraction:
+        return str(obj)
     return obj
 
 

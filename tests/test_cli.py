@@ -33,7 +33,7 @@ def test_lattice_count_basic():
     assert rc == 0
     assert rep["result"]["count"] == 1
     assert rep["result"]["points"][0]["n"] == 0
-    assert rep["schema_version"] == 5
+    assert rep["schema_version"] == 6
     assert rep["config"]["beta"] == "1"
 
 
@@ -96,6 +96,25 @@ def test_lattice_audit_aliases():
     assert rep["result"]["max_count"] <= 1
 
 
+GOLDEN2, INV3P2A = 2.0 + goldwave.ALPHA_FLOAT, 1.0 / (3.0 + 2.0 * goldwave.ALPHA_FLOAT)
+
+
+@pytest.mark.parametrize("mode, area, threshold, passed", [
+    ("min", "golden2", {"area_at_least": GOLDEN2, "min_count": 1}, True),
+    ("min", "5", {"area_at_least": GOLDEN2, "min_count": 1}, True),
+    ("min", "1", None, None),  # below 2+alpha no count is promised
+    ("max", "inv3p2a", {"area_at_most": INV3P2A, "max_count": 1}, True),
+    ("max", "1", {"area_at_most": GOLDEN2, "max_count": 12}, True),
+    ("max", "golden2", {"area_at_most": GOLDEN2, "max_count": 12}, True),
+    ("max", "5", None, None),  # above 2+alpha no count is promised
+])
+def test_audit_verdict_from_the_bound_that_applies(mode, area, threshold, passed):
+    rc, rep, _ = run_json(["lattice", "audit", "--mode", mode, "--area", area,
+                           "--trials", "300"])
+    assert rc == 0
+    assert (rep["result"]["threshold"], rep["result"]["passed"]) == (threshold, passed)
+
+
 @pytest.mark.parametrize("mode, area", [("min", "golden2"), ("max", "inv3p2a"), ("min", "0.2")])
 def test_audit_witnesses_reproduce_through_lattice_count(mode, area):
     rc, rep, _ = run_json(["lattice", "audit", "--mode", mode, "--area", area,
@@ -139,7 +158,13 @@ def test_cover_audit_pass_and_empty_reporting():
     )
     assert rc == 0
     assert rep["result"]["empty_cell_total"] > 0
-    assert rep["result"]["passed"] is False
+    assert rep["result"]["passed"] is None
+    # the window [1, 12] is checked at the default beta(delta) alone: a
+    # smaller beta puts more than 12 points in a cell and is not failed for it
+    for beta, passed in (("0.1", None), (repr(goldwave.beta_for_delta(0.5)), True)):
+        rc, rep, _ = run_json(["cover", "audit", "--delta", "0.5", "--beta", beta,
+                               "--k", "-5:5", "--l", "-2:2"])
+        assert (rc, rep["result"]["passed"]) == (0, passed), beta
 
 
 def test_cover_audit_counts_every_empty_cell():
@@ -269,7 +294,7 @@ def test_config_file_with_flag_override(tmp_path):
     rc, rep, _ = run_json(["--config", str(cfg), "cover", "audit", "--delta", "0.25"])
     assert rc == 0
     assert rep["config"]["delta"] == 0.25  # flag wins
-    assert rep["config"]["k"] == "-3:3"  # file fills the rest
+    assert rep["config"]["k"] == [-3, 3]  # file fills the rest
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 1\n")
     rc, _, err = run(["--config", str(bad), "cover", "audit", "--delta", "0.25"])
@@ -335,6 +360,26 @@ def test_config_none_default_keys_take_the_flag_type(tmp_path):
     assert (rc, out) == (1, "") and err.count("\n") == 1 and f"{bad}:2:" in err
 
 
+@pytest.mark.parametrize("argv, flag, bad", [
+    ("lattice count --beta 1", "rect", "0,1,x,1"),
+    ("lattice count --rect 0,1,0,1", "beta", "1,2"),
+    ("lattice audit --mode min", "area", "golden3"),
+    ("lattice audit --mode min --area 1", "aspect", "1:x"),
+    ("cover audit --delta 0.5", "k", "x:y"),
+    ("cover audit --delta 0.5", "l", "1"),
+    ("frame compare --n 64", "deltas", "1,,2"),
+])
+def test_bad_flag_values_name_the_flag_and_the_config_file(tmp_path, argv, flag, bad):
+    rc, out, err = run([*argv.split(), f"--{flag}", bad])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"usage error: argument --{flag}: ") and err.count("\n") == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {bad}\n")
+    rc, out, err = run(["--config", str(cfg), *argv.split()])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"usage error: {cfg}: argument --{flag}: ") and err.count("\n") == 1
+
+
 def test_removed_flags_are_usage_errors():
     for flag in ("--iters", "--threads"):
         rc, out, err = run(["frame", "estimate", "--scheme", "golden", "--n", "128",
@@ -383,7 +428,7 @@ def test_flags_of_another_scheme_or_family_are_usage_errors(tmp_path):
                              ([*wavelet, "gaussian_bump"], {"center": 1.0, "width": 0.1},
                               {"order"})):
         rc, rep, _ = run_json(argv)
-        assert rc in (0, 2) and rep["schema_version"] == 5
+        assert rc in (0, 2) and rep["schema_version"] == 6
         assert {k: rep["config"][k] for k in own} == own and not other & set(rep["config"])
 
 
@@ -587,3 +632,12 @@ def test_resolved_config_embedded():
     assert rc == 0 and rep["config"]["seed"] == 0 and "format" not in rep["config"]
     rc, rep, _ = run_json(["frame", "compare", "--deltas", "1", "--n", "128", "--smax", "0.5"])
     assert rep["config"]["format"] == "json"
+    # list and exact flags echo their parsed values, exact ones as p/q text
+    assert rep["config"]["deltas"] == [1.0]
+    rc, rep, _ = run_json(["cover", "audit", "--delta", "0.5", "--l", "-1:1"])
+    assert (rep["config"]["k"], rep["config"]["l"]) == ([-200, 200], [-1, 1])
+    rc, rep, _ = run_json(["lattice", "audit", "--mode", "min", "--area", "golden2",
+                           "--trials", "5"])
+    assert (rep["config"]["area"], rep["config"]["aspect"]) == (GOLDEN2, [0.001, 1000.0])
+    rc, rep, _ = run_json(["lattice", "count", "--rect", "0,2.5,-1/3,1e1", "--beta", "0.5"])
+    assert (rep["config"]["rect"], rep["config"]["beta"]) == (["0", "5/2", "-1/3", "10"], "1/2")

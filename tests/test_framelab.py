@@ -140,6 +140,9 @@ def test_dyadic_validation():
         dyadic_sample_set(1.0, 1.0, Rect(0.0, 8.0, 0.9, 4.1))
     with pytest.raises(ValueError):
         dyadic_sample_set(2.0, 0.0, Rect(0.0, 8.0, 0.9, 4.1))
+    for c in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            dyadic_sample_set(2.0, 1.0, Rect(0.0, 8.0, c, 4.1))
 
 
 def test_sample_set_rejects_nonpositive_scales():

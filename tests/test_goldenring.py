@@ -114,6 +114,8 @@ def test_alpha_power_matches_repeated_product():
 def test_power_sum_identity_is_constant():
     for n in range(1, 81):
         assert power_sum_identity(n) == TWO_PLUS_ALPHA
+    with pytest.raises(ValueError):
+        power_sum_identity(0)
 
 
 def test_alpha_power_magnitude_decreases():

@@ -134,6 +134,16 @@ def test_rect_validation():
         Rect(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Rect(0.0, 1.0, 1.0, 1.0)
+    # an infinite edge makes a Rect, but neither counting path takes it
+    with pytest.raises(ValueError, match="finite"):
+        count_rects(1.0, np.zeros(1), np.full(1, math.inf), np.zeros(1), np.ones(1))
+    with pytest.raises(ValueError, match="finite"):
+        enumerate_in_rect(LatticeSpec(1.0), Rect(0.0, math.inf, 0.0, 1.0))
+    with pytest.raises(TypeError, match="positive int"):
+        Rect.from_exact((GoldenNumber(1, 0), 0), 1, 0, 1)
+    # nor does an audit whose aspect range is inverted
+    with pytest.raises(ValueError, match="aspect range"):
+        audit_min_count(2.7, 10, aspect_range=(5.0, 1.0))
     r = Rect(-0.5, 0.5, -0.5, 0.5)
     assert r.area == pytest.approx(1.0)
 

@@ -56,6 +56,8 @@ def test_cauchy_rejects_low_order():
         cauchy_wavelet(3.0)
     with pytest.raises(ValueError):
         cauchy_wavelet(5.999)
+    with pytest.raises(ValueError, match="positive"):
+        gaussian_bump_wavelet(center=0.0)
 
 
 def test_profile_vanishes_on_negative_axis():
