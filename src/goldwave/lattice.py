@@ -9,7 +9,7 @@ Counting has one engine.  ``count_rects`` takes the reduced basis of every
 rectangle, in the frame where it is a square, in closed form from the unit
 phi of Z[phi], and as candidates the small integer box that this basis maps
 onto a parallelogram covering the rectangle; rectangles with equally shaped
-boxes, found by one stable sort, are checked together.  A rectangle of any
+boxes, found by one sort, are checked together.  A rectangle of any
 aspect ratio thus costs about as many candidates as a square of its area.
 ``enumerate_in_rect`` lists one rectangle's points, as one int64 index
 array, from the same box, margins and decider, worked out on Python floats.
@@ -34,6 +34,7 @@ or more candidates than the cap, raises EnumerationCapError.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -100,6 +101,8 @@ _DEFAULT_CAP = 100_000_000  # candidates per call
 _INDEX_LIMIT = 2.0**52  # lattice_coords is exact for smaller indices
 _BOX_TOL = 11 * 2.0**-53  # widening of the candidate boxes per unit of q (see _boxes)
 _BLOCK = 1 << 13  # candidates checked per vectorized step
+_KEEP = 1 << 17  # rectangles up to which each thread keeps the working arrays of count_rects
+_ROWS = 9  # rows of n floats in the working arrays of n rectangles, besides the indices
 
 
 class EnumerationCapError(RuntimeError):
@@ -233,13 +236,34 @@ _DET = 1.0 + ALPHA_FLOAT**2  # det A
 _ENTRIES = list(zip(_BOX_X.tolist(), _BOX_S.tolist(), _ROW_SUM.tolist(), _UNIT_X.tolist(),
                     _UNIT_S.tolist(), _BASES.reshape(4, -1).T.tolist()))
 
+_kept = threading.local()
 
-def _positions(p: np.ndarray) -> np.ndarray:
-    """Table positions p + 75 of the powers p; EnumerationCapError beyond
-    |p| = 75, where the bases need indices of 2**52 or more."""
-    if not (np.abs(p) <= _MAX_POWER).all():
+
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The working arrays of ``count_rects`` for n rectangles, views of one
+    float64 buffer: the indices 0 .. n-1 as int64, ``_ROWS`` rows of n and
+    9 rows of ``_BLOCK``.  Each thread keeps its own buffer, grown to its
+    largest batch of at most ``_KEEP`` rectangles; a larger batch gets one
+    of its own."""
+    buf, size = getattr(_kept, "buf", (None, -1))
+    if size < n:
+        buf, size = np.empty((1 + _ROWS) * n + 9 * _BLOCK), n
+        buf.view(np.int64)[:n] = np.arange(n)
+        if n <= _KEEP:
+            _kept.buf = buf, size
+    return (buf.view(np.int64)[:n], buf[size:size + _ROWS * n].reshape(_ROWS, n),
+            buf[(1 + _ROWS) * size:].reshape(9, _BLOCK))
+
+def _positions(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Table positions p + 75 of the powers p, as intp, in ``out`` if given;
+    EnumerationCapError beyond |p| = 75, where the bases need indices of
+    2**52 or more."""
+    if not -_MAX_POWER <= p.min(initial=0) <= p.max(initial=0) <= _MAX_POWER:
         raise EnumerationCapError("reduced basis needs lattice indices beyond 2**52")
-    return p.astype(np.intp) + _MAX_POWER
+    t = np.empty(p.shape, np.intp) if out is None else out
+    np.copyto(t, p, casting="unsafe")
+    t += _MAX_POWER
+    return t
 
 
 def _check_indices(u, i0, j0, ni, nj) -> None:
@@ -256,7 +280,7 @@ def _check_indices(u, i0, j0, ni, nj) -> None:
             raise EnumerationCapError("candidate box needs lattice indices beyond 2**52")
 
 
-def _boxes(beta: float, a, b, c, d):
+def _boxes(beta: float, a, b, c, d, work: np.ndarray | None = None):
     """Candidate boxes of the rectangles [a, b) x [c, d): the positions t
     of their reduced bases u = ``_BASES[..., t]`` in the tables, the boxes
     (lo, size) and bounds q: every point of beta*Gamma in rectangle r has
@@ -289,75 +313,97 @@ def _boxes(beta: float, a, b, c, d):
     lo and size are integer arrays, q is float.  Raises EnumerationCapError
     when the boxes hold more than the cap of candidates in total or reach
     indices beyond 2**52, where ``lattice_coords`` stops being exact.
-    Working memory: at most about 12 floats per rectangle besides the edges
-    (see ``count_rects``).
+    Working memory: 7 rows of n floats of ``work`` (by default the rows of
+    the thread's ``_workspace``), which also hold the results: they stay
+    valid until the next call on the thread.  Besides, a few arrays of n
+    bools.
     """
+    work = _workspace(a.size)[1] if work is None else work
     # widths beyond the float range and the huge boxes that go with them
     # overflow to inf; the checks below turn that into EnumerationCapError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w, h = b - a, d - c
+        w, h = np.subtract(b, a, out=work[5]), np.subtract(d, c, out=work[6])
         # w > 0 is a < b, and given a < b the extremes of a and b bound both
         if not (0 < beta < math.inf and (w > 0).all() and (h > 0).all()
                 and a.min(initial=0) > -math.inf and b.max(initial=0) < math.inf
                 and c.min(initial=0) > -math.inf and d.max(initial=0) < math.inf):
             raise ValueError(
                 f"need finite beta > 0 (got {beta}) and finite edges, a < b, c < d")
-        t = _positions(np.rint(np.log(np.sqrt(h) / np.sqrt(w)) / math.log(_PHI)))
-        del w, h
-        # from here on, a result reuses the array of an input read for the last time
-        kx, ks = _BOX_X[t] / beta, _BOX_S[t] / beta
-        x_b, s_d = b * kx, d * ks
+        p = np.log(np.divide(np.sqrt(h, out=h), np.sqrt(w, out=w), out=h), out=h)
+        p /= math.log(_PHI)
+        t = _positions(np.rint(p, out=p), work[0].view(np.intp))
+        # from here on, each result goes to a row of work that holds no live value
+        kx = np.take(_BOX_X, t, out=work[5], mode="clip")
+        ks = np.take(_BOX_S, t, out=work[6], mode="clip")
+        kx /= beta
+        ks /= beta
+        x_b, s_d = np.multiply(b, kx, out=work[3]), np.multiply(d, ks, out=work[4])
         x_a, s_c = np.multiply(a, kx, out=kx), np.multiply(c, ks, out=ks)
-        s_lo, s_hi = np.minimum(s_c, s_d), np.maximum(s_c, s_d, out=s_d)
-        i_lo = np.add(x_a, ALPHA_FLOAT * s_lo, out=s_c)
-        j_lo = np.subtract(s_lo, ALPHA_FLOAT * x_b, out=s_lo)
-        i_hi = np.add(x_b, ALPHA_FLOAT * s_hi, out=x_b)
-        j_hi = np.subtract(s_hi, ALPHA_FLOAT * x_a, out=s_hi)
-        del x_a, kx
-        for v in (i_lo, j_lo, i_hi, j_hi):
-            v /= _DET
-        q = np.maximum(np.maximum(-i_lo, i_hi), np.maximum(-j_lo, j_hi))
-        tol = q * _BOX_TOL + 2.0**-50
+        s_lo, s_hi = np.minimum(s_c, s_d, out=work[2]), np.maximum(s_c, s_d, out=s_d)
+        i_lo = np.add(x_a, np.multiply(ALPHA_FLOAT, s_lo, out=work[1]), out=work[1])
+        j_lo = np.subtract(s_lo, np.multiply(ALPHA_FLOAT, x_b, out=s_c), out=s_lo)
+        i_hi = np.add(x_b, np.multiply(ALPHA_FLOAT, s_hi, out=s_c), out=x_b)
+        j_hi = np.subtract(s_hi, np.multiply(ALPHA_FLOAT, x_a, out=s_c), out=s_hi)
+        work[1:5] /= _DET  # i_lo, j_lo, i_hi, j_hi
+        q = np.maximum(np.negative(i_lo, out=x_a), i_hi, out=x_a)
+        np.maximum(q, np.maximum(np.negative(j_lo, out=s_c), j_hi, out=s_c), out=q)
+        tol = np.multiply(q, _BOX_TOL, out=s_c)
+        tol += 2.0**-50
         # i_lo, j_lo become the first corners of the boxes, i_hi, j_hi their sizes
         for lo, hi in ((i_lo, i_hi), (j_lo, j_hi)):
             np.ceil(np.subtract(lo, tol, out=lo), out=lo)
             np.floor(np.add(hi, tol, out=hi), out=hi)
             hi -= lo
             hi += 1
-        total = np.sum(i_hi * j_hi)
-        q += tol + 1
+        q += np.add(tol, 1, out=tol)
+        total = np.multiply(i_hi, j_hi, out=tol).sum()
     if not total <= _DEFAULT_CAP:
         raise EnumerationCapError(
             f"candidate boxes of {total:.3g} cells exceed cap {_DEFAULT_CAP}"
         )
-    far = np.flatnonzero(~(_ROW_SUM[t] * q < 2.0**51))
+    far = np.flatnonzero(~(np.multiply(np.take(_ROW_SUM, t, out=tol, mode="clip"), q, out=tol)
+                           < 2.0**51))
     if far.size:
         _check_indices(_BASES[..., t[far]], i_lo[far], j_lo[far], i_hi[far], j_hi[far])
-    return t, np.array([i_lo, j_lo], np.int64), np.array([i_hi, j_hi], np.int64), q
+    ints = work[1:5].view(np.int64)  # the corners and sizes, over the rows that held them
+    for k in range(4):
+        np.copyto(ints[k], work[1 + k], casting="unsafe")
+    return t, ints[:2], ints[2:], q
 
-
-def _filter(beta: float, unit_x, unit_s, row_sum, q):
+def _filter(beta: float, kx, ks, ms, row_sum, q):
     """The float filter of ``_blocks`` for boxes of bound q and bases with
-    unit scales unit_x, unit_s and row sums row_sum, elementwise: the scales
-    kx, ks of x~ and s~, the margins mx, ms, and whether its bound holds."""
-    kx, ks = beta * unit_x, beta * unit_s
-    mq = (2 * _MARGIN) * q  # 2**-48 * L per unit of beta times the scale
-    usable = (q < 2.0**51) & (beta * (row_sum * q) < 2.0**1022) & (beta >= 2.0**-960)
-    return kx, ks, mq * kx + 2.0**-1070, mq * abs(ks) + 2.0**-1070, usable
+    unit scales kx, ks, |ks| = ms and row sums row_sum, elementwise: the
+    scales kx, ks of x~ and s~, the margins mx, ms, and whether its bound
+    holds.  Arrays are overwritten in place, q with mx."""
+    kx *= beta
+    ks *= beta
+    row_sum *= q
+    row_sum *= beta
+    usable = (q < 2.0**51) & (row_sum < 2.0**1022) & (beta >= 2.0**-960)
+    q *= 2 * _MARGIN  # 2**-48 * L per unit of beta times the scale
+    ms *= beta
+    ms *= q
+    ms += 2.0**-1070
+    q *= kx
+    q += 2.0**-1070
+    return kx, ks, q, ms, usable
 
 
 def _blocks(beta: float, a, b, c, d):
     """The candidates of the rectangles [a, b) x [c, d) in blocks of about
-    ``_BLOCK``: yields (owner, t, lo, nj, keep, near), one column per box
+    ``_BLOCK``: yields (owner, t, lo, nj, inside, near), one column per box
     of nj columns: the rectangles ``owner``, the table positions t and
-    corners lo of their boxes, and masks of the candidates that the float
-    filter puts inside for sure (``keep``) and of those it leaves open
-    (``near``).
+    corners lo of their boxes, the number of candidates that the float
+    filter puts inside for sure (``inside``) and the mask of those it
+    leaves open (``near``).  The yielded arrays are views of the thread's
+    workspace, valid only until the next step.
 
     Rectangles with an empty box are skipped.  Boxes are cut along i into
     pieces of at most ``_BLOCK`` candidates (or one row), so memory stays
-    bounded, and pieces of one shape, found by one stable sort, are checked
-    together.  Each block forms the thresholds of its own edges.
+    bounded, and pieces of one shape, found by one sort, are checked
+    together.  Each block forms the thresholds of its own edges.  Working
+    memory: ``_workspace``; cut boxes, and rows longer than ``_BLOCK``,
+    get arrays of their own.
 
     The float filter.  The candidate (i, j) of a box of power p is the
     point x = phi**-p*(i - alpha*j), s = (-phi)**p*(j + alpha*i), and the
@@ -384,11 +430,14 @@ def _blocks(beta: float, a, b, c, d):
     where x~ may overflow, or beta < 2**-960, where beta*P may be
     subnormal.  ``_filter`` gives the scales, margins and that rule.
     """
-    t, lo, size, q = _boxes(beta, a, b, c, d)
-    owner = np.flatnonzero(size[0] * size[1])
-    lo, size = np.take(lo, owner, axis=1), np.take(size, owner, axis=1)
-    if (size[0] * size[1]).max(initial=0) > _BLOCK:
+    index, work, block = _workspace(a.size)
+    t, lo, size, q = _boxes(beta, a, b, c, d, work)
+    cells = np.multiply(size[0], size[1], out=work[6].view(np.int64))
+    owner = index
+    if cells.max(initial=0) > _BLOCK:
         # cut along i: pieces of `rows` rows, the last one shorter
+        owner = np.flatnonzero(cells)
+        lo, size = np.take(lo, owner, axis=1), np.take(size, owner, axis=1)
         rows = np.maximum(_BLOCK // size[1], 1)
         pieces = -(-size[0] // rows)
         first = np.repeat(np.cumsum(pieces) - pieces, pieces)
@@ -396,42 +445,75 @@ def _blocks(beta: float, a, b, c, d):
         i_off = (np.arange(owner.size) - first) * rows
         lo[0] += i_off
         size[0] = np.minimum(rows, size[0] - i_off)
+        index, work = np.arange(owner.size), np.empty((_ROWS, owner.size))
+    else:
+        # an empty box gets the shape (0, 0)
+        for v in size:
+            np.minimum(v, cells, out=v)
     width = int(size[1].max(initial=0)) + 1
-    key = size[0] * width + size[1]
-    # numpy sorts 16-bit keys stably by radix
-    order = np.argsort(key.astype(np.int16) if key.max(initial=0) < 2**15 else key, kind="stable")
-    key, owner, lo = key[order], owner[order], np.take(lo, order, axis=1)
-    del order, size
-    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
-    # the float filter: scales and margins per box, thresholds per block
-    t, q = t[owner], q[owner]
-    # scales and margins of the boxes left unusable below may overflow
+    key = np.multiply(size[0], width, out=work[6].view(np.int64))
+    key += size[1]
+    m, shift = int(np.count_nonzero(key)), max(key.size - 1, 1).bit_length()
+    if key.max(initial=0) < 2**(63 - shift):
+        # key * 2**shift + index: distinct, so one sort in place, without the
+        # allocations of argsort, orders the boxes stably, the empty ones first
+        comp = np.bitwise_or(np.left_shift(key, shift, out=key), index, out=key)
+        comp.sort()
+        comp = comp[comp.size - m:]
+        order = np.bitwise_and(comp, 2**shift - 1, out=work[3, :m].view(np.int64))
+        key = np.right_shift(comp, shift, out=comp)
+    else:
+        order = np.argsort(key, kind="stable")[key.size - m:]
+        key = key[order]
+    new = np.not_equal(key[1:], key[:-1], out=work[4].view(bool)[1:m])
+    starts = [0, *(np.flatnonzero(new) + 1).tolist()][:m]
+    shapes = [divmod(k, width) for k in key[starts].tolist()]
+    owner = order if owner is index else owner[order]
+    lo = np.take(lo, order, 1, work[7:9].reshape(-1)[:2 * m].reshape(2, m).view(np.int64), "clip")
+    t = np.take(t, owner, out=work[4, :m].view(np.intp), mode="clip")
+    q = np.take(q, owner, out=work[1, :m], mode="clip")
+    # the float filter: scales and margins per box, thresholds per block;
+    # those of the boxes left unusable below may overflow
     with np.errstate(over="ignore"):
-        kx, ks, mx, ms, usable = _filter(beta, _UNIT_X[t], _UNIT_S[t], _ROW_SUM[t], q)
-    del q
+        kx, ks, mx, ms, usable = _filter(beta, *(
+            np.take(table, t, out=work[k, :m], mode="clip")
+            for table, k in ((_UNIT_X, 0), (_UNIT_S, 2), (_BOX_X, 5), (_ROW_SUM, 6))), q)
     if not usable.all():
         # every candidate near; zero scales keep x~ and s~ finite
         mx[~usable] = ms[~usable] = np.inf
         kx[~usable] = ks[~usable] = 0.0
-    for start, stop in zip(starts, [*starts[1:], owner.size]):
-        ni, nj = divmod(int(key[start]), width)
-        di, dj = np.divmod(np.arange(ni * nj, dtype=float)[:, None], nj)
-        step = max(1, _BLOCK // (ni * nj))
+    for start, stop, (ni, nj) in zip(starts, [*starts[1:], m], shapes):
+        box = ni * nj
+        buf = block if box <= _BLOCK else np.empty((9, box))
+        dij = buf[7:9, :box, None]  # the offsets (di, dj) of the candidates in a box
+        np.divmod(np.arange(box, dtype=float)[:, None], nj, out=(dij[0], dij[1]))
+        step = max(1, _BLOCK // box)
         for first in range(start, stop, step):
             r = slice(first, min(first + step, stop))
-            o, mx_r, ms_r = owner[r], mx[r], ms[r]
-            i, j = lo[0, r] + di, lo[1, r] + dj
-            x = ALPHA_FLOAT * j
+            o, cols = owner[r], r.stop - first
+            i, j = np.add(lo[:, None, r], dij, out=buf[:2, :box * cols].reshape(2, box, cols))
+            x = np.multiply(ALPHA_FLOAT, j, out=buf[2, :box * cols].reshape(box, cols))
             np.subtract(i, x, out=x)
             x *= kx[r]
-            s = ALPHA_FLOAT * i
+            s = np.multiply(ALPHA_FLOAT, i, out=i)
             s += j
             s *= ks[r]
-            ea, eb, ec, ed = a[o], b[o], c[o], d[o]
-            keep = (x >= ea + mx_r) & (x < eb - mx_r) & (s >= ec + ms_r) & (s < ed - ms_r)
-            near = keep | (x < ea - mx_r) | (x > eb + mx_r) | (s < ec - ms_r) | (s > ed + ms_r)
-            yield o, t[r], lo[:, r], nj, keep, ~near
-
+            keep, near, test = buf[3].view(bool)[:3 * box * cols].reshape(3, box, cols)
+            e, edge = buf[4, :cols], buf[5, :cols]
+            keep[...], near[...] = True, False
+            # at an edge of margin M a candidate v is in if kept(v, inner(e, M))
+            # and out if beyond(v, outer(e, M))
+            for v, side, margin, inner, kept, outer, beyond in (
+                    (x, a, mx[r], np.add, np.greater_equal, np.subtract, np.less),
+                    (x, b, mx[r], np.subtract, np.less, np.add, np.greater),
+                    (s, c, ms[r], np.add, np.greater_equal, np.subtract, np.less),
+                    (s, d, ms[r], np.subtract, np.less, np.add, np.greater)):
+                np.take(side, o, out=e, mode="clip")
+                keep &= kept(v, inner(e, margin, out=edge), out=test)
+                near |= beyond(v, outer(e, margin, out=edge), out=test)
+            np.logical_not(np.logical_or(near, keep, out=near), out=near)
+            inside = np.sum(keep, axis=0, out=buf[6, :cols].view(np.int64))
+            yield o, t[r], lo[:, r], nj, inside, near
 
 def _exact_keep(beta: Fraction, n, m, rects) -> np.ndarray:
     """Membership of the candidates (n, m) of beta*Gamma, each in its own
@@ -494,7 +576,7 @@ def enumerate_in_rect(spec: LatticeSpec, rect: Rect) -> np.ndarray:
     q += tol + 1
     if not row_sum * q < 2.0**51:
         _check_indices(_BASES[..., [p + _MAX_POWER]], [i0], [j0], [ni], [nj])
-    kx, ks, mx, ms, usable = _filter(beta, unit_x, unit_s, row_sum, q)
+    kx, ks, mx, ms, usable = _filter(beta, unit_x, unit_s, box_x, row_sum, q)
     if not usable:  # every candidate near
         kx, ks, mx, ms = 0.0, 0.0, math.inf, math.inf
     lo, hi = ([e + side * (m + extra) for e, m, extra in zip(edges, (mx, mx, ms, ms), slack)]
@@ -537,14 +619,16 @@ def count_rects(beta: float, a, b, c, d) -> np.ndarray:
     for the edges and beta read as dyadic rationals, and each block adds
     its counts to those of its rectangles.
 
-    Working memory: about 18 floats per rectangle besides the edges, plus
-    a few arrays of ``_BLOCK``.  The peak sets the time of a warm call too:
-    the allocator gives freed heap back, and each call faults it in again.
+    Working memory: the counts, and the thread's workspace (``_workspace``)
+    of 10 floats per rectangle and 9 arrays of ``_BLOCK``.  Each thread
+    keeps its workspace for batches of up to ``_KEEP`` rectangles, so that
+    a warm call faults in no page that the allocator gave back to the
+    system; a larger batch allocates its own.  Calls on different threads
+    may overlap; the counts never share memory with the workspace.
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
     counts = np.zeros(a.size, dtype=np.int64)
-    for owner, t, lo, nj, keep, near in _blocks(beta, a, b, c, d):
-        inside = keep.sum(axis=0)
+    for owner, t, lo, nj, inside, near in _blocks(beta, a, b, c, d):
         if near.any():
             # the indices (n, m) of the near candidates: one column per box
             cand, rows = np.nonzero(near)

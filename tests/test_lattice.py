@@ -1,4 +1,7 @@
 import math
+import resource
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldwave.lattice as lattice
 from goldwave.covering import beta_for_delta, cell
 from goldwave.goldenring import ALPHA_FLOAT, GoldenNumber, fibonacci
 from goldwave.lattice import (
@@ -626,27 +630,100 @@ def test_batch_over_several_blocks_counts_each_rectangle_alone():
         count_in_rect(spec, Rect(*e)) for e in zip(a, b, c, d)]
 
 
-def peak_floats_per_rect(beta, a, b, c, d) -> float:
-    """The most memory that one warm count_rects call holds at once, in
-    float64s per rectangle, its inputs not counted."""
-    count_rects(beta, a, b, c, d)
+def peak_floats_per_rect(beta, a, b, c, d) -> tuple[float, float]:
+    """The most memory that one cold count_rects call holds at once, and the
+    bytes that the thread keeps after it, in float64s per rectangle, its
+    inputs not counted: the workspace is cleared first, so that its
+    buffers are traced as they are made."""
+    lattice._kept.__dict__.clear()
     tracemalloc.start()
     try:
         count_rects(beta, a, b, c, d)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / 8 / a.size
+    return peak / 8 / a.size, kept / 8 / a.size
+
+
+def memory_batches():
+    """11,000 rectangles of a golden2 audit, and the 401 x 41 cells of a
+    cover audit at delta = 0.6."""
+    rects = _random_rects(np.random.default_rng(3), AREA_MIN, 11000, (1e-3, 1e3), 1e3)
+    cells = [cell(0.6, k, l).edges() for l in range(-20, 21) for k in range(-200, 201)]
+    return [(1.0, rects), (beta_for_delta(0.6), tuple(map(np.array, zip(*cells))))]
 
 
 def test_count_rects_working_memory():
-    # 11,000 rectangles of a golden2 audit, and the 401 x 41 cells of a
-    # cover audit at delta = 0.6: at most 30 floats per rectangle, since a
-    # warm call faults its whole peak in again
-    rects = _random_rects(np.random.default_rng(3), AREA_MIN, 11000, (1e-3, 1e3), 1e3)
-    assert peak_floats_per_rect(1.0, *rects) <= 30
-    cells = [cell(0.6, k, l).edges() for l in range(-20, 21) for k in range(-200, 201)]
-    assert peak_floats_per_rect(beta_for_delta(0.6), *map(np.array, zip(*cells))) <= 30
+    # a cold call peaks at 30 floats per rectangle at most, and the
+    # workspace kept for the warm calls holds at most 20
+    for beta, rects in memory_batches():
+        peak, kept = peak_floats_per_rect(beta, *rects)
+        assert peak <= 30 and kept <= 20, (peak, kept)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts as on Linux")
+def test_warm_count_rects_faults_no_page_in():
+    # the 22,000 rectangles of an inv3p2a audit and the cover cells: a warm
+    # call works in the kept workspace, so its median of minor faults is 0
+    inv = _random_rects(np.random.default_rng(5), AREA_MAX, 22000, (1e-3, 1e3), 1e3)
+    for beta, rects in [(1.0, inv), memory_batches()[1]]:
+        count_rects(beta, *rects)
+        faults = []
+        for _ in range(20):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            count_rects(beta, *rects)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert sorted(faults)[10] == 0, faults
+
+
+def test_count_rects_threads_share_no_workspace():
+    # two threads count different batches in alternation, many times over,
+    # and get the counts of a sequential run
+    rng = np.random.default_rng(17)
+    batches = [_random_rects(rng, area, 3000, (1e-3, 1e3), 1e3) for area in (AREA_MIN, 7.3)]
+    want = [count_rects(1.0, *e) for e in batches]
+    got = [[], []]
+    errors = []
+
+    def work(k):
+        try:
+            for _ in range(30):
+                got[k].append(count_rects(1.0, *batches[k]))
+        except Exception as e:  # pragma: no cover - reported below
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for k in range(2):
+        assert len(got[k]) == 30 and all(np.array_equal(g, want[k]) for g in got[k])
+
+
+def test_count_rects_results_do_not_alias_the_workspace():
+    rng = np.random.default_rng(19)
+    first, second = (_random_rects(rng, AREA_MIN, n, (1e-3, 1e3), 1e3) for n in (5000, 7000))
+    counts = count_rects(1.0, *first)
+    want = counts.copy()
+    count_rects(1.0, *second)
+    assert np.array_equal(counts, want)
+
+
+def test_count_rects_above_the_kept_size(monkeypatch):
+    # a batch above the cap allocates its own working arrays, with the same counts
+    rects = _random_rects(np.random.default_rng(23), AREA_MIN, 4000, (1e-3, 1e3), 1e3)
+    want = count_rects(1.0, *rects)
+    lattice._kept.__dict__.clear()
+    monkeypatch.setattr(lattice, "_KEEP", 1000)
+    assert np.array_equal(count_rects(1.0, *rects), want)
+    assert not hasattr(lattice._kept, "buf")  # nothing kept
 
 
 def test_exact_rectangle_narrower_than_a_double():
