@@ -393,10 +393,10 @@ def _blocks(beta: float, a, b, c, d):
     """The candidates of the rectangles [a, b) x [c, d) in blocks of about
     ``_BLOCK``: yields (owner, t, lo, nj, inside, near), one column per box
     of nj columns: the rectangles ``owner``, the table positions t and
-    corners lo of their boxes, the number of candidates that the float
-    filter puts inside for sure (``inside``) and the mask of those it
-    leaves open (``near``).  The yielded arrays are views of the thread's
-    workspace, valid only until the next step.
+    corners lo of their boxes (integers as floats), the number of
+    candidates that the float filter puts inside for sure (``inside``) and
+    the mask of those it leaves open (``near``).  The yielded arrays are
+    mostly views of the thread's workspace, valid only until the next step.
 
     Rectangles with an empty box are skipped.  Boxes are cut along i into
     pieces of at most ``_BLOCK`` candidates (or one row), so memory stays
@@ -470,6 +470,9 @@ def _blocks(beta: float, a, b, c, d):
     shapes = [divmod(k, width) for k in key[starts].tolist()]
     owner = order if owner is index else owner[order]
     lo = np.take(lo, order, 1, work[7:9].reshape(-1)[:2 * m].reshape(2, m).view(np.int64), "clip")
+    for v in lo:  # as floats, which the blocks add without a cast
+        np.copyto(v.view(float), v, casting="unsafe")
+    lo = lo.view(float)
     t = np.take(t, owner, out=work[4, :m].view(np.intp), mode="clip")
     q = np.take(q, owner, out=work[1, :m], mode="clip")
     # the float filter: scales and margins per box, thresholds per block;
@@ -512,8 +515,7 @@ def _blocks(beta: float, a, b, c, d):
                 keep &= kept(v, inner(e, margin, out=edge), out=test)
                 near |= beyond(v, outer(e, margin, out=edge), out=test)
             np.logical_not(np.logical_or(near, keep, out=near), out=near)
-            inside = np.sum(keep, axis=0, out=buf[6, :cols].view(np.int64))
-            yield o, t[r], lo[:, r], nj, inside, near
+            yield o, t[r], lo[:, r], nj, keep.sum(axis=0), near
 
 def _exact_keep(beta: Fraction, n, m, rects) -> np.ndarray:
     """Membership of the candidates (n, m) of beta*Gamma, each in its own
@@ -632,7 +634,7 @@ def count_rects(beta: float, a, b, c, d) -> np.ndarray:
         if near.any():
             # the indices (n, m) of the near candidates: one column per box
             cand, rows = np.nonzero(near)
-            i, j = lo[0, rows] + cand // nj, lo[1, rows] + cand % nj
+            i, j = lo[:, rows].astype(np.int64) + np.divmod(cand, nj)
             u = np.take(_BASES, t[rows], axis=2)
             n, m = u[0, 0] * i + u[0, 1] * j, u[1, 0] * i + u[1, 1] * j
             o = owner[rows]

@@ -150,6 +150,11 @@ def test_criterion_07_oracle_equivalence():
     alpha_ld = (np.longdouble(5) ** np.longdouble(0.5) - 1) / 2
     x0 = grid_n.astype(np.longdouble) - grid_m.astype(np.longdouble) * alpha_ld
     s0 = grid_m.astype(np.longdouble) + grid_n.astype(np.longdouble) * alpha_ld
+    # the grid sorted by x0 once: bf * x0 keeps that order for bf > 0 (rounding
+    # is monotone), so [a, b) is one slice of it, found by bisection
+    order = np.argsort(x0, axis=None, kind="stable")
+    x0, s0 = x0.ravel()[order], s0.ravel()[order]
+    grid_n, grid_m = grid_n.ravel()[order], grid_m.ravel()[order]
     mismatches = 0
     for _ in range(10_000):
         beta = Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
@@ -159,11 +164,10 @@ def test_criterion_07_oracle_equivalence():
         cx, cy = rng.uniform(-10, 10, 2)
         w, h = rng.uniform(0.1, 4.0, 2)
         rect = Rect(cx, cx + w, cy, cy + h)
-        inside = (
-            (bf * x0 >= rect.a) & (bf * x0 < rect.b)
-            & (bf * s0 >= rect.c) & (bf * s0 < rect.d)
-        )
-        oracle = set(zip(grid_n[inside].tolist(), grid_m[inside].tolist()))
+        lo, hi = np.searchsorted(bf * x0, [rect.a, rect.b])
+        s = bf * s0[lo:hi]
+        inside = (s >= rect.c) & (s < rect.d)
+        oracle = set(zip(grid_n[lo:hi][inside].tolist(), grid_m[lo:hi][inside].tolist()))
         got = set(map(tuple, enumerate_in_rect(LatticeSpec(beta=beta), rect).tolist()))
         if got != oracle:
             mismatches += 1
