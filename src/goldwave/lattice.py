@@ -254,6 +254,7 @@ def _workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (buf.view(np.int64)[:n], buf[size:size + _ROWS * n].reshape(_ROWS, n),
             buf[(1 + _ROWS) * size:].reshape(9, _BLOCK))
 
+
 def _positions(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Table positions p + 75 of the powers p, as intp, in ``out`` if given;
     EnumerationCapError beyond |p| = 75, where the bases need indices of
@@ -369,6 +370,7 @@ def _boxes(beta: float, a, b, c, d, work: np.ndarray | None = None):
     for k in range(4):
         np.copyto(ints[k], work[1 + k], casting="unsafe")
     return t, ints[:2], ints[2:], q
+
 
 def _filter(beta: float, kx, ks, ms, row_sum, q):
     """The float filter of ``_blocks`` for boxes of bound q and bases with
